@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-fabric race-snapshot fabric-smoke fuzz fuzz-engines fuzz-snapshot equivalence alloc golden-update bench bench-json introspect-smoke check
+.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-fabric race-snapshot fabric-smoke fuzz fuzz-engines fuzz-snapshot fuzz-pagetable equivalence alloc golden-update bench bench-json introspect-smoke check
 
 # Every test invocation gets a hard -timeout (a wedged test must fail, not
 # hang CI — the same philosophy as the simulator's own watchdogs) and
@@ -102,6 +102,15 @@ fuzz-engines:
 # silently. Extend -fuzztime for deeper soaks.
 fuzz-snapshot:
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
+
+# Bounded fuzz pass over the page table against its map-of-maps oracle
+# (internal/pagetable/oracle_test.go): random Map/Lookup/Walk/NodeFrameAt
+# sequences over 4 and 5 levels and 4K/2M pages must agree on every
+# result, error, node count and frame-allocation order. Both engines share
+# the page table, so the engine-equivalence suite cannot catch its bugs.
+# Extend -fuzztime for deeper soaks.
+fuzz-pagetable:
+	$(GO) test ./internal/pagetable/ -run '^$$' -fuzz FuzzTableOracle -fuzztime 30s
 
 # Differential-equivalence suite: the curated fig3/fig8-style matrix plus
 # the golden experiment tables, both engines, invariant checks armed.

@@ -25,7 +25,7 @@ func TestTranslateAgreesAcrossOrgs(t *testing.T) {
 		var pas []mem.PAddr
 		for i := 0; i < 50; i++ {
 			v := vaBase(0) + mem.VAddr(i*mem.PageSize4K+0x123)
-			if _, err := vm.ensureMapped(v); err != nil {
+			if _, _, err := vm.ensureMapped(v); err != nil {
 				t.Fatal(err)
 			}
 			_, pa, _, err := sys.Mem().Translate(0, v, vm.asid, 0)
@@ -57,7 +57,7 @@ func TestTranslateRepeatedlyStable(t *testing.T) {
 		m := sys.Mem()
 		vm := sys.vms[0]
 		v := vaBase(0) + 0x5123
-		if _, err := vm.ensureMapped(v); err != nil {
+		if _, _, err := vm.ensureMapped(v); err != nil {
 			t.Fatal(err)
 		}
 		_, first, _, err := m.Translate(0, v, vm.asid, 0)

@@ -264,7 +264,7 @@ func TestTranslationsAreConsistent(t *testing.T) {
 	m := sys.Mem()
 	vm := sys.vms[0]
 	v := vaBase(0) + 0x1234
-	if _, err := vm.ensureMapped(v); err != nil {
+	if _, _, err := vm.ensureMapped(v); err != nil {
 		t.Fatal(err)
 	}
 	_, pa, _, err := m.Translate(0, v, vm.asid, 0)

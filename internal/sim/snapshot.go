@@ -164,7 +164,7 @@ func (s *System) overlay(st *snapshot.State) error {
 		if vm == nil {
 			return fmt.Errorf("fault %d names unknown ASID %d", i, f.ASID)
 		}
-		created, err := vm.ensureMapped(mem.VAddr(f.Addr))
+		_, created, err := vm.ensureMapped(mem.VAddr(f.Addr))
 		if err != nil {
 			return fmt.Errorf("replaying fault %d (asid %d, %#x): %w", i, f.ASID, f.Addr, err)
 		}

@@ -38,7 +38,7 @@ func (m *memSystem) Translate(now uint64, v mem.VAddr, asid mem.ASID, coreID int
 	// Demand population: first touch of a page installs its translation
 	// (a soft fault whose OS cost is not charged, as in the paper's
 	// methodology).
-	created, err := vm.ensureMapped(v)
+	_, created, err := vm.ensureMapped(v)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -204,42 +204,37 @@ func (m *memSystem) pomTLB() *tlb.POM { return m.pom }
 
 // prewarmTranslation demand-maps v and installs its translation in the
 // memory-resident translation structures (POM-TLB, TSBs), without touching
-// any hardware TLB or cache state.
+// any hardware TLB or cache state. A page this call maps is installed from
+// the frames the mapping step just chose; only an already-mapped page
+// costs a table walk.
 func (m *memSystem) prewarmTranslation(vm *vmState, v mem.VAddr) error {
-	if _, err := vm.ensureMapped(v); err != nil {
+	pm, created, err := vm.ensureMapped(v)
+	if err != nil {
 		return err
 	}
 	if m.pom == nil && m.cfg.Org != OrgTSB {
 		return nil
 	}
-	gpa, ok := vm.space.Guest.Translate(v)
-	if !ok {
-		return fmt.Errorf("sim: prewarm: %#x unmapped after ensureMapped", v)
-	}
-	pa := gpa
-	if vm.space.Virtualized() {
-		if pa, ok = vm.space.Host.Translate(mem.VAddr(gpa)); !ok {
-			return fmt.Errorf("sim: prewarm: gPA %#x unmapped in host table", gpa)
+	if !created {
+		if pm, err = vm.resolve(v); err != nil {
+			return err
 		}
 	}
-	frame := pa &^ (mem.PageSize4K - 1)
 	if m.pom != nil {
-		if m.cfg.HugePages && !vm.space.Virtualized() {
-			if hugeFrame, size, ok := vm.space.Guest.Lookup(v); ok && size == mem.Page2M {
-				m.pom.InsertSized(v, vm.asid, hugeFrame, mem.Page2M)
-			} else {
-				m.pom.Insert(v, vm.asid, frame)
-			}
+		// Only a native huge-page VM has 2 MB guest leaves.
+		if pm.size == mem.Page2M {
+			m.pom.InsertSized(v, vm.asid, pm.leaf, mem.Page2M)
 		} else {
-			m.pom.Insert(v, vm.asid, frame)
+			m.pom.Insert(v, vm.asid, pm.hpa)
 		}
 	}
 	if m.cfg.Org == OrgTSB {
 		if vm.space.Virtualized() {
-			m.gtsb[vm.asid].Insert(v, vm.asid, gpa&^(mem.PageSize4K-1))
-			m.htsb[vm.asid].Insert(mem.VAddr(gpa), vm.asid, frame)
+			gpa := pm.guestPage(v)
+			m.gtsb[vm.asid].Insert(v, vm.asid, gpa)
+			m.htsb[vm.asid].Insert(mem.VAddr(gpa), vm.asid, pm.hpa)
 		} else {
-			m.htsb[vm.asid].Insert(v, vm.asid, frame)
+			m.htsb[vm.asid].Insert(v, vm.asid, pm.hpa)
 		}
 	}
 	return nil

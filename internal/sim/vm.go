@@ -178,63 +178,82 @@ func newVM(asid mem.ASID, bench workload.Name, virtualized bool, levels int,
 	return vm, nil
 }
 
+// pageMapping is the translation of one 4 KB page: the guest leaf that
+// maps it (frame and size, in the guest table's output domain — gPA for a
+// virtualized VM, hPA for a native one) and the host-physical frame
+// backing the page itself.
+type pageMapping struct {
+	leaf mem.PAddr
+	size mem.PageSize
+	hpa  mem.PAddr
+}
+
+// guestPage returns v's 4 KB page in the guest table's output domain.
+func (pm pageMapping) guestPage(v mem.VAddr) mem.PAddr {
+	return pm.leaf + mem.PAddr(mem.PageOffset(v, pm.size)&^(mem.PageSize4K-1))
+}
+
 // ensureMapped demand-populates the translation for v's page on first
 // touch: a soft page fault whose OS cost, like the paper's, is not charged
-// to the pipeline. Returns true if a new page was mapped.
+// to the pipeline. Returns true if a new page was mapped, with the mapping
+// it installed; an already-mapped page returns false and a zero mapping
+// (resolve walks the tables for it).
 //
 // Under the fast engine the presence set answers the (overwhelmingly
 // common) already-mapped case in O(1); a set miss falls through to the
 // reference path, whose outcome is then recorded. Behaviour is identical:
 // the set only short-circuits the pure "is it mapped" radix-table check.
-func (vm *vmState) ensureMapped(v mem.VAddr) (bool, error) {
+func (vm *vmState) ensureMapped(v mem.VAddr) (pageMapping, bool, error) {
 	if vm.present != nil {
 		if vm.present.has(uint64(v) >> vm.presentShift) {
-			return false, nil
+			return pageMapping{}, false, nil
 		}
-		created, err := vm.ensureMappedSlow(v)
+		pm, created, err := vm.ensureMappedSlow(v)
 		if err == nil {
 			vm.present.add(uint64(v) >> vm.presentShift)
 		}
-		return created, err
+		return pm, created, err
 	}
 	return vm.ensureMappedSlow(v)
 }
 
-func (vm *vmState) ensureMappedSlow(v mem.VAddr) (bool, error) {
+func (vm *vmState) ensureMappedSlow(v mem.VAddr) (pageMapping, bool, error) {
 	if _, _, ok := vm.space.Guest.Lookup(v); ok {
-		return false, nil
+		return pageMapping{}, false, nil
 	}
 	if !vm.space.Virtualized() {
 		if vm.hugePages {
 			base := v &^ (mem.PageSize2M - 1)
 			hpa, err := vm.hostA.Alloc2M()
 			if err != nil {
-				return false, err
+				return pageMapping{}, false, err
 			}
 			if err := vm.space.Guest.Map(base, hpa, mem.Page2M); err != nil {
-				return false, err
+				return pageMapping{}, false, err
 			}
 			vm.touchedPages += mem.PageSize2M / mem.PageSize4K
-			return true, nil
+			pm := pageMapping{leaf: hpa, size: mem.Page2M}
+			pm.hpa = pm.guestPage(v)
+			return pm, true, nil
 		}
 		hpa, err := vm.hostA.Alloc4K()
 		if err != nil {
-			return false, err
+			return pageMapping{}, false, err
 		}
 		if err := vm.space.Guest.Map(v&^(mem.PageSize4K-1), hpa, mem.Page4K); err != nil {
-			return false, err
+			return pageMapping{}, false, err
 		}
 		vm.touchedPages++
-		return true, nil
+		return pageMapping{leaf: hpa, size: mem.Page4K, hpa: hpa}, true, nil
 	}
 
 	page := v &^ (mem.PageSize4K - 1)
 	gpa, err := vm.gDataA.Alloc4K()
 	if err != nil {
-		return false, err
+		return pageMapping{}, false, err
 	}
 	if err := vm.space.Guest.Map(page, gpa, mem.Page4K); err != nil {
-		return false, err
+		return pageMapping{}, false, err
 	}
 	// The hypervisor backs guest-physical data with 2 MB EPT mappings, as
 	// KVM with THP does: host frames are carved per 2 MB gPA region on
@@ -244,24 +263,41 @@ func (vm *vmState) ensureMappedSlow(v mem.VAddr) (bool, error) {
 	if vm.ept4K {
 		hpa, err := vm.hostA.Alloc4K()
 		if err != nil {
-			return false, err
+			return pageMapping{}, false, err
 		}
 		if err := vm.space.Host.Map(mem.VAddr(gpa), hpa, mem.Page4K); err != nil {
-			return false, err
+			return pageMapping{}, false, err
 		}
 		vm.touchedPages++
-		return true, nil
+		return pageMapping{leaf: gpa, size: mem.Page4K, hpa: hpa}, true, nil
 	}
 	region := mem.VAddr(gpa) &^ (mem.PageSize2M - 1)
-	if _, _, ok := vm.space.Host.Lookup(region); !ok {
-		hpa, err := vm.hostA.Alloc2M()
-		if err != nil {
-			return false, err
+	hRegion, _, ok := vm.space.Host.Lookup(region)
+	if !ok {
+		if hRegion, err = vm.hostA.Alloc2M(); err != nil {
+			return pageMapping{}, false, err
 		}
-		if err := vm.space.Host.Map(region, hpa, mem.Page2M); err != nil {
-			return false, err
+		if err := vm.space.Host.Map(region, hRegion, mem.Page2M); err != nil {
+			return pageMapping{}, false, err
 		}
 	}
 	vm.touchedPages++
-	return true, nil
+	return pageMapping{leaf: gpa, size: mem.Page4K, hpa: hRegion + (gpa - mem.PAddr(region))}, true, nil
+}
+
+// resolve walks the tables for an already-mapped page.
+func (vm *vmState) resolve(v mem.VAddr) (pageMapping, error) {
+	leaf, size, ok := vm.space.Guest.Lookup(v)
+	if !ok {
+		return pageMapping{}, fmt.Errorf("sim: %#x unmapped in guest table", v)
+	}
+	pm := pageMapping{leaf: leaf, size: size}
+	page := pm.guestPage(v)
+	pm.hpa = page
+	if vm.space.Virtualized() {
+		if pm.hpa, ok = vm.space.Host.Translate(mem.VAddr(page)); !ok {
+			return pageMapping{}, fmt.Errorf("sim: gPA %#x unmapped in host table", page)
+		}
+	}
+	return pm, nil
 }

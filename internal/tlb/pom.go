@@ -86,34 +86,42 @@ const EntriesPerLine = 4
 // NewPOM builds a POM-TLB of sizeBytes at physical address base. Size must
 // be a power of two of at least one line.
 func NewPOM(base mem.PAddr, sizeBytes uint64) (*POM, error) {
+	p, err := newPOMGeometry(base, sizeBytes)
+	if err != nil {
+		return nil, err
+	}
+	p.entries = make([]entry, p.sets*EntriesPerLine)
+	return p, nil
+}
+
+// NewPOMFlat is NewPOM with the fast engine's struct-of-arrays entry layout
+// (see flat.go); behaviour is bit-identical to the reference layout.
+func NewPOMFlat(base mem.PAddr, sizeBytes uint64) (*POM, error) {
+	p, err := newPOMGeometry(base, sizeBytes)
+	if err != nil {
+		return nil, err
+	}
+	p.fw = make([]uint64, int(p.sets)*pomSetStride)
+	p.flat = true
+	return p, nil
+}
+
+// newPOMGeometry validates the geometry and returns a POM without entry
+// storage; each constructor allocates only its own layout.
+func newPOMGeometry(base mem.PAddr, sizeBytes uint64) (*POM, error) {
 	if sizeBytes < mem.LineSize || sizeBytes&(sizeBytes-1) != 0 {
 		return nil, fmt.Errorf("tlb: POM size %d must be a power-of-two >= %d", sizeBytes, mem.LineSize)
 	}
 	if uint64(base)%mem.LineSize != 0 {
 		return nil, fmt.Errorf("tlb: POM base %#x not line aligned", base)
 	}
-	sets := sizeBytes / mem.LineSize
 	return &POM{
 		base:     base,
 		sizeB:    sizeBytes,
-		sets:     sets,
+		sets:     sizeBytes / mem.LineSize,
 		ways:     EntriesPerLine,
-		entries:  make([]entry, sets*EntriesPerLine),
 		hashSeed: 0x9E3779B97F4A7C15,
 	}, nil
-}
-
-// NewPOMFlat is NewPOM with the fast engine's struct-of-arrays entry layout
-// (see flat.go); behaviour is bit-identical to the reference layout.
-func NewPOMFlat(base mem.PAddr, sizeBytes uint64) (*POM, error) {
-	p, err := NewPOM(base, sizeBytes)
-	if err != nil {
-		return nil, err
-	}
-	p.entries = nil
-	p.fw = make([]uint64, int(p.sets)*pomSetStride)
-	p.flat = true
-	return p, nil
 }
 
 // MustNewPOM is NewPOM for static configurations.

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -19,18 +20,38 @@ func newPOM(t *testing.T, size uint64) *POM {
 }
 
 func TestNewPOMValidation(t *testing.T) {
-	if _, err := NewPOM(pomBase, 100); err == nil {
-		t.Error("non-power-of-two size accepted")
+	for name, mk := range map[string]func(mem.PAddr, uint64) (*POM, error){"reference": NewPOM, "flat": NewPOMFlat} {
+		if _, err := mk(pomBase, 100); err == nil {
+			t.Errorf("%s: non-power-of-two size accepted", name)
+		}
+		if _, err := mk(pomBase+1, 1<<20); err == nil {
+			t.Errorf("%s: unaligned base accepted", name)
+		}
+		if _, err := mk(pomBase, 16); err == nil {
+			t.Errorf("%s: sub-line size accepted", name)
+		}
+		if _, err := mk(pomBase, 16<<20); err != nil {
+			t.Errorf("%s: paper-sized POM rejected: %v", name, err)
+		}
 	}
-	if _, err := NewPOM(pomBase+1, 1<<20); err == nil {
-		t.Error("unaligned base accepted")
+}
+
+// TestNewPOMFlatAllocatesOnlyFlatLayout: the flat constructor allocates
+// its 16 MB packed array and nothing else — in particular not the
+// reference layout's 48 MB entry array.
+func TestNewPOMFlatAllocatesOnlyFlatLayout(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := NewPOMFlat(pomBase, 16<<20)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewPOM(pomBase, 16); err == nil {
-		t.Error("sub-line size accepted")
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 17<<20 {
+		t.Errorf("NewPOMFlat(16 MB) allocated %.1f MB, want under 17", float64(got)/(1<<20))
 	}
-	if _, err := NewPOM(pomBase, 16<<20); err != nil {
-		t.Errorf("paper-sized POM rejected: %v", err)
-	}
+	runtime.KeepAlive(p)
 }
 
 func TestPOMContains(t *testing.T) {
