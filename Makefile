@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-fabric race-snapshot fabric-smoke fuzz fuzz-engines fuzz-snapshot fuzz-pagetable equivalence alloc golden-update bench bench-json introspect-smoke check
+.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-fabric race-snapshot fabric-smoke fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache equivalence alloc golden-update bench bench-json introspect-smoke check
 
 # Every test invocation gets a hard -timeout (a wedged test must fail, not
 # hang CI — the same philosophy as the simulator's own watchdogs) and
@@ -111,6 +111,16 @@ fuzz-snapshot:
 # Extend -fuzztime for deeper soaks.
 fuzz-pagetable:
 	$(GO) test ./internal/pagetable/ -run '^$$' -fuzz FuzzTableOracle -fuzztime 30s
+
+# Bounded fuzz pass over the data caches' flat layout against the reference
+# layout (internal/cache/layouts_fuzz_test.go): random Lookup/Fill/FillAt/
+# MarkDirty/SetPartition/Flush/snapshot sequences over 1-16 ways, all three
+# policies and both profiler modes, with the flat LRU stamp counter started
+# just short of its 2^32 wrap, must agree on every hit, writeback, counter,
+# resident line and recency order. Its seed corpus runs in plain go test.
+# Minimization is bounded because the ops inputs are long.
+fuzz-cache:
+	$(GO) test ./internal/cache/ -run '^$$' -fuzz FuzzCacheLayouts -fuzztime 30s -fuzzminimizetime 50x
 
 # Differential-equivalence suite: the curated fig3/fig8-style matrix plus
 # the golden experiment tables, both engines, invariant checks armed.

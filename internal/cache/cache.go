@@ -113,8 +113,11 @@ type Cache struct {
 	lines    []line   // sets*ways, row-major (reference layout; nil in flat mode)
 	words    []uint64 // packed flat layout (nil in reference mode; see flat.go)
 	flat     bool
-	policy   Policy
-	lru      *trueLRU // concrete policy when PolicyLRU, for devirtualized flat paths
+	policy   Policy // nil when stamped
+	// stamped is flat true LRU: recency stamps live in words and next is
+	// the stamp the next touch or fill takes (see flat.go).
+	stamped bool
+	next    uint64
 
 	// partition is the number of ways reserved for data lines in each set;
 	// Unpartitioned disables enforcement.
@@ -154,13 +157,14 @@ func New(cfg Config) (*Cache, error) {
 	} else {
 		c.lines = make([]line, sets*cfg.Ways)
 	}
-	p, err := NewPolicy(cfg.Policy, sets, cfg.Ways)
-	if err != nil {
-		return nil, fmt.Errorf("cache %s: %w", cfg.Name, err)
-	}
-	c.policy = p
-	if l, ok := p.(*trueLRU); ok {
-		c.lru = l
+	if cfg.Flat && cfg.Policy == PolicyLRU {
+		c.stamped, c.next = true, 1
+	} else {
+		p, err := NewPolicy(cfg.Policy, sets, cfg.Ways)
+		if err != nil {
+			return nil, fmt.Errorf("cache %s: %w", cfg.Name, err)
+		}
+		c.policy = p
 	}
 	if cfg.Profiled {
 		if cfg.InlineProfiler {
@@ -249,9 +253,15 @@ func (c *Cache) SetPartition(n int) {
 	c.partition = n
 }
 
+// index splits addr into its set and tag. Tags are limited to the flat
+// word's 29 tag bits in both layouts (see flat.go).
 func (c *Cache) index(addr mem.PAddr) (set int, tag uint64) {
 	lineAddr := uint64(addr) >> mem.LineShift
-	return int(lineAddr & uint64(c.sets-1)), lineAddr >> c.setShift
+	tag = lineAddr >> c.setShift
+	if tag >= tagLimit {
+		panic("cache: tag beyond 29 bits (address outside the simulated physical map)")
+	}
+	return int(lineAddr & uint64(c.sets-1)), tag
 }
 
 // Lookup probes the cache for addr, updating replacement state, statistics
@@ -319,16 +329,6 @@ func (c *Cache) MarkDirty(addr mem.PAddr) bool {
 		}
 	}
 	return false
-}
-
-// FillQuiet inserts a line without counting an insertion in the demand
-// statistics — used for writeback allocations from an upper level.
-func (c *Cache) FillQuiet(addr mem.PAddr, typ LineType, dirty bool) Writeback {
-	wb := c.Fill(addr, typ, dirty)
-	if c.Stats.Insertions[typ] > 0 {
-		c.Stats.Insertions[typ]--
-	}
-	return wb
 }
 
 // ResetStats zeroes the hit/miss/insertion/writeback counters (warmup
@@ -425,11 +425,11 @@ func (c *Cache) FillMissed(addr mem.PAddr, typ LineType, dirty bool) Writeback {
 		return c.Fill(addr, typ, dirty)
 	}
 	set, tag := c.index(addr)
-	base := set * c.ways
-	return c.fillMissedFlat(set, tag, c.words[base:base+c.ways], typ, dirty)
+	return c.fillMissedFlat(set, tag, c.setWords(set), typ, dirty)
 }
 
-// FillQuietMissed is FillQuiet under FillMissed's absence contract.
+// FillQuietMissed is FillMissed without counting an insertion in the
+// demand statistics — used for writeback allocations from an upper level.
 func (c *Cache) FillQuietMissed(addr mem.PAddr, typ LineType, dirty bool) Writeback {
 	wb := c.FillMissed(addr, typ, dirty)
 	if c.Stats.Insertions[typ] > 0 {
@@ -442,18 +442,7 @@ func (c *Cache) FillQuietMissed(addr mem.PAddr, typ LineType, dirty bool) Writeb
 func (c *Cache) FillAtMissed(addr mem.PAddr, typ LineType, dirty, promote bool) Writeback {
 	wb := c.FillMissed(addr, typ, dirty)
 	if !promote {
-		if c.flat {
-			c.fillAtDemoteFlat(addr)
-			return wb
-		}
-		set, tag := c.index(addr)
-		base := set * c.ways
-		for w := 0; w < c.ways; w++ {
-			if c.lines[base+w].valid && c.lines[base+w].tag == tag {
-				c.policy.Demote(set, w)
-				break
-			}
-		}
+		c.demote(addr)
 	}
 	return wb
 }
@@ -464,20 +453,28 @@ func (c *Cache) FillAtMissed(addr mem.PAddr, typ LineType, dirty, promote bool) 
 func (c *Cache) FillAt(addr mem.PAddr, typ LineType, dirty, promote bool) Writeback {
 	wb := c.Fill(addr, typ, dirty)
 	if !promote {
-		if c.flat {
-			c.fillAtDemoteFlat(addr)
-			return wb
-		}
-		set, tag := c.index(addr)
-		base := set * c.ways
-		for w := 0; w < c.ways; w++ {
-			if c.lines[base+w].valid && c.lines[base+w].tag == tag {
-				c.policy.Demote(set, w)
-				break
-			}
-		}
+		c.demote(addr)
 	}
 	return wb
+}
+
+// demote moves the just-filled line holding addr to the LRU end.
+func (c *Cache) demote(addr mem.PAddr) {
+	set, tag := c.index(addr)
+	if c.flat {
+		words := c.setWords(set)
+		if w := probeFlat(words, tag); w >= 0 {
+			c.demoteFlat(set, words, w)
+		}
+		return
+	}
+	base := set * c.ways
+	for w := 0; w < c.ways; w++ {
+		if c.lines[base+w].valid && c.lines[base+w].tag == tag {
+			c.policy.Demote(set, w)
+			return
+		}
+	}
 }
 
 // addrOf reconstructs a line-aligned physical address from set and tag.
@@ -585,9 +582,11 @@ func (c *Cache) CorruptPartitionForTest() { c.partition = c.ways + 1 }
 
 // Flush invalidates every line (used between experiment phases); dirty
 // contents are discarded, as the simulator tracks no data bytes.
+// Replacement state is kept, as in the reference layout's policy: the flat
+// layout clears only the line bits below each word's recency stamp.
 func (c *Cache) Flush() {
 	for i := range c.words {
-		c.words[i] = 0
+		c.words[i] &^= wordLine
 	}
 	for i := range c.lines {
 		c.lines[i] = line{}

@@ -18,32 +18,30 @@ package cache
 //     or BT-pLRU identifiers). Cheaper hardware, slightly noisier counters.
 type Profiler struct {
 	ways        int
+	sampled     int // sampled sets (ATD mode)
 	sampleShift uint
 	inline      bool
 
 	counters [numLineTypes][]uint64
 
-	// ATD state, indexed by sampled-set ordinal.
-	atdTags  [numLineTypes][][]uint64 // MRU-first tag lists
-	atdValid [numLineTypes][][]bool
+	// ATD state, set-major: sampled set s owns slots [s*ways, (s+1)*ways)
+	// of each type's directory, MRU first.
+	atdTags  [numLineTypes][]uint64
+	atdValid [numLineTypes][]bool
 }
 
 // NewProfiler creates an ATD-mode profiler for a sets x ways cache,
 // profiling every 2^sampleShift-th set.
 func NewProfiler(sets, ways int, sampleShift uint) *Profiler {
-	p := &Profiler{ways: ways, sampleShift: sampleShift}
 	sampled := sets >> sampleShift
 	if sampled == 0 {
 		sampled = 1
 	}
+	p := &Profiler{ways: ways, sampled: sampled, sampleShift: sampleShift}
 	for t := 0; t < int(numLineTypes); t++ {
 		p.counters[t] = make([]uint64, ways+1)
-		p.atdTags[t] = make([][]uint64, sampled)
-		p.atdValid[t] = make([][]bool, sampled)
-		for s := 0; s < sampled; s++ {
-			p.atdTags[t][s] = make([]uint64, ways)
-			p.atdValid[t][s] = make([]bool, ways)
-		}
+		p.atdTags[t] = make([]uint64, sampled*ways)
+		p.atdValid[t] = make([]bool, sampled*ways)
 	}
 	return p
 }
@@ -71,7 +69,7 @@ func (p *Profiler) sampledIndex(set int) int {
 		return -1
 	}
 	idx := set >> p.sampleShift
-	if idx >= len(p.atdTags[0]) {
+	if idx >= p.sampled {
 		return -1
 	}
 	return idx
@@ -88,7 +86,9 @@ func (p *Profiler) Access(set int, tag uint64, typ LineType) {
 	if s < 0 {
 		return
 	}
-	tags, valid := p.atdTags[typ][s], p.atdValid[typ][s]
+	base := s * p.ways
+	tags := p.atdTags[typ][base : base+p.ways]
+	valid := p.atdValid[typ][base : base+p.ways]
 	pos := -1
 	for i := 0; i < p.ways; i++ {
 		if valid[i] && tags[i] == tag {

@@ -8,12 +8,14 @@ import (
 )
 
 // Snapshot export/import for the data caches. Line metadata serializes to
-// the flat engine's packed word form (tag<<3 | typ<<2 | dirty<<1 | valid)
-// in both layouts; replacement state is captured per policy kind, and the
-// Mattson profilers flatten their auxiliary tag directories set-major. A
-// restore reproduces exactly the resident lines, recency order, partition
-// and counters the snapshot captured, so a resumed run's victim choices
-// are bit-identical to an uninterrupted one's.
+// the low half of the flat engine's packed word (tag<<3 | typ<<2 |
+// dirty<<1 | valid) in both layouts; replacement state is captured per
+// policy kind — the flat layout's true-LRU stamps export as the policy's
+// sequence numbers — and the Mattson profilers' auxiliary tag directories
+// are stored set-major, as they live. A restore reproduces exactly the
+// resident lines, recency order, partition and counters the snapshot
+// captured, so a resumed run's victim choices are bit-identical to an
+// uninterrupted one's.
 
 func hitRateState(h stats.HitRate) snapshot.HitRate {
 	return snapshot.HitRate{Hits: h.Hits.Value(), Misses: h.Misses.Value()}
@@ -68,6 +70,27 @@ func loadPolicy(p Policy, st snapshot.PolicyState) error {
 	return nil
 }
 
+// checkStamps validates a true-LRU policy snapshot for a flat cache's n
+// stamped words: every sequence number, and the counter, must fit a
+// 32-bit stamp.
+func checkStamps(st snapshot.PolicyState, n int) error {
+	if want := PolicyLRU.String(); st.Kind != want {
+		return fmt.Errorf("policy is %s, snapshot holds %s", want, st.Kind)
+	}
+	if len(st.Seq) != n {
+		return fmt.Errorf("lru snapshot has %d seqs, want %d", len(st.Seq), n)
+	}
+	for _, seq := range st.Seq {
+		if seq >= stampLimit {
+			return fmt.Errorf("lru snapshot seq %d does not fit a 32-bit stamp", seq)
+		}
+	}
+	if st.Next > stampLimit {
+		return fmt.Errorf("lru snapshot counter %d does not fit a 32-bit stamp", st.Next)
+	}
+	return nil
+}
+
 // SaveState exports the profiler's counters and (in ATD mode) the auxiliary
 // tag directories, flattened set-major.
 func (p *Profiler) SaveState() snapshot.ProfilerState {
@@ -78,13 +101,8 @@ func (p *Profiler) SaveState() snapshot.ProfilerState {
 		if p.inline {
 			continue
 		}
-		sampled := len(p.atdTags[t])
-		st.ATDTags[t] = make([]uint64, 0, sampled*p.ways)
-		st.ATDValid[t] = make([]bool, 0, sampled*p.ways)
-		for s := 0; s < sampled; s++ {
-			st.ATDTags[t] = append(st.ATDTags[t], p.atdTags[t][s]...)
-			st.ATDValid[t] = append(st.ATDValid[t], p.atdValid[t][s]...)
-		}
+		st.ATDTags[t] = append([]uint64(nil), p.atdTags[t]...)
+		st.ATDValid[t] = append([]bool(nil), p.atdValid[t]...)
 	}
 	return st
 }
@@ -102,10 +120,9 @@ func (p *Profiler) LoadState(st snapshot.ProfilerState) error {
 			}
 			continue
 		}
-		sampled := len(p.atdTags[t])
-		if len(st.ATDTags[t]) != sampled*p.ways || len(st.ATDValid[t]) != sampled*p.ways {
+		if n := len(p.atdTags[t]); len(st.ATDTags[t]) != n || len(st.ATDValid[t]) != n {
 			return fmt.Errorf("profiler snapshot has %d/%d ATD slots, want %d",
-				len(st.ATDTags[t]), len(st.ATDValid[t]), sampled*p.ways)
+				len(st.ATDTags[t]), len(st.ATDValid[t]), n)
 		}
 	}
 	for t := 0; t < int(numLineTypes); t++ {
@@ -113,10 +130,8 @@ func (p *Profiler) LoadState(st snapshot.ProfilerState) error {
 		if p.inline {
 			continue
 		}
-		for s := range p.atdTags[t] {
-			copy(p.atdTags[t][s], st.ATDTags[t][s*p.ways:(s+1)*p.ways])
-			copy(p.atdValid[t][s], st.ATDValid[t][s*p.ways:(s+1)*p.ways])
-		}
+		copy(p.atdTags[t], st.ATDTags[t])
+		copy(p.atdValid[t], st.ATDValid[t])
 	}
 	return nil
 }
@@ -126,7 +141,6 @@ func (c *Cache) SaveState() snapshot.CacheState {
 	n := c.sets * c.ways
 	st := snapshot.CacheState{
 		Words:      make([]uint64, n),
-		Policy:     savePolicy(c.policy),
 		Partition:  c.partition,
 		Writebacks: c.Stats.Writebacks.Value(),
 		Lookups:    c.Stats.Lookups.Value(),
@@ -135,9 +149,18 @@ func (c *Cache) SaveState() snapshot.CacheState {
 		st.ByType[t] = hitRateState(c.Stats.ByType[t])
 		st.Insertions[t] = c.Stats.Insertions[t].Value()
 	}
-	if c.flat {
+	switch {
+	case c.stamped:
+		st.Policy = snapshot.PolicyState{Kind: PolicyLRU.String(), Seq: make([]uint64, n), Next: c.next}
+		for i, wd := range c.words {
+			st.Words[i] = wd & wordLine
+			st.Policy.Seq[i] = wd >> wordStampSh
+		}
+	case c.flat:
+		st.Policy = savePolicy(c.policy)
 		copy(st.Words, c.words)
-	} else {
+	default:
+		st.Policy = savePolicy(c.policy)
 		for i := range c.lines {
 			ln := &c.lines[i]
 			if ln.valid {
@@ -159,7 +182,16 @@ func (c *Cache) LoadState(st snapshot.CacheState) error {
 	if len(st.Words) != n {
 		return fmt.Errorf("cache %s: snapshot has %d line words, want %d", c.cfg.Name, len(st.Words), n)
 	}
-	if err := loadPolicy(c.policy, st.Policy); err != nil {
+	for _, wd := range st.Words {
+		if wd > wordLine {
+			return fmt.Errorf("cache %s: snapshot line word %#x has a tag beyond 29 bits", c.cfg.Name, wd)
+		}
+	}
+	if c.stamped {
+		if err := checkStamps(st.Policy, n); err != nil {
+			return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
+		}
+	} else if err := loadPolicy(c.policy, st.Policy); err != nil {
 		return fmt.Errorf("cache %s: %w", c.cfg.Name, err)
 	}
 	if (c.profiler != nil) != (st.Profiler != nil) {
@@ -172,6 +204,12 @@ func (c *Cache) LoadState(st snapshot.CacheState) error {
 	}
 	if c.flat {
 		copy(c.words, st.Words)
+		if c.stamped {
+			for i, seq := range st.Policy.Seq {
+				c.words[i] |= seq << wordStampSh
+			}
+			c.next = st.Policy.Next
+		}
 	} else {
 		for i, wd := range st.Words {
 			if wd&wordValid == 0 {

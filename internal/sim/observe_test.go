@@ -12,10 +12,11 @@ import (
 	"github.com/csalt-sim/csalt/internal/obs"
 )
 
-// update rewrites the golden trace snapshot instead of comparing against it:
+// update rewrites the golden files (trace snapshot, NoPrewarm digests)
+// instead of comparing against them:
 //
-//	go test ./internal/sim -run TestGoldenTrace -update
-var update = flag.Bool("update", false, "rewrite golden trace snapshots under testdata/")
+//	go test ./internal/sim -run 'TestGoldenTrace|TestNoPrewarmGolden' -update
+var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // observedConfig is the tiny fig1-style configuration the trace tests run:
 // POM-TLB organisation with CSALT-D so both context switches and

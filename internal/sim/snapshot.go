@@ -26,12 +26,11 @@ import (
 // the Config (prewarm order, allocator layout, POM/TSB placement), so
 // RestoreSystem rebuilds the machine from scratch, replays the ordered
 // demand-fault log through the VM mapping path — reproducing the shared
-// frame allocator's sequence, the page-table radix contents and the fast
-// engine's presence sets exactly — verifies the allocator and footprint
-// counts against the snapshot, then overlays every component's serialized
-// state. The config key carried in the snapshot's Meta pins engine and
-// configuration, so a snapshot only ever restores into the machine that
-// wrote it.
+// frame allocator's sequence and the page-table contents exactly —
+// verifies the allocator and footprint counts against the snapshot, then
+// overlays every component's serialized state. The config key carried in
+// the snapshot's Meta pins engine and configuration, so a snapshot only
+// ever restores into the machine that wrote it.
 
 // ErrSnapshotStop reports that a run stopped cooperatively at a poll
 // boundary after writing a requested drain snapshot (RequestSnapshotStop).
@@ -155,7 +154,7 @@ func (s *System) overlay(st *snapshot.State) error {
 	m := s.mem
 
 	// 1) Replay the demand-fault log: reproduces frame-allocator order,
-	// page tables, EPT contents and presence sets.
+	// page tables and EPT contents.
 	for i, f := range st.Faults {
 		var vm *vmState
 		if int(f.ASID) < len(m.vmByASID) {

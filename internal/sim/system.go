@@ -94,9 +94,6 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: building VM %d: %w", i+1, err)
 		}
-		if cfg.fastEngine() {
-			vm.enableFastPresence()
-		}
 		if err := ms.addVM(vm); err != nil {
 			return nil, err
 		}

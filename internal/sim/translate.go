@@ -7,6 +7,7 @@ import (
 	"github.com/csalt-sim/csalt/internal/mem"
 	"github.com/csalt-sim/csalt/internal/snapshot"
 	"github.com/csalt-sim/csalt/internal/tlb"
+	"github.com/csalt-sim/csalt/internal/walker"
 )
 
 // installTLBs caches a resolved translation in a core's L1 and L2 TLBs.
@@ -28,22 +29,8 @@ func (m *memSystem) Translate(now uint64, v mem.VAddr, asid mem.ASID, coreID int
 	if m.intro != nil {
 		m.intro.SetCore(coreID)
 	}
-	var vm *vmState
-	if int(asid) < len(m.vmByASID) {
-		vm = m.vmByASID[asid]
-	}
-	if vm == nil {
+	if int(asid) >= len(m.vmByASID) || m.vmByASID[asid] == nil {
 		return 0, 0, false, fmt.Errorf("sim: no VM registered for ASID %d", asid)
-	}
-	// Demand population: first touch of a page installs its translation
-	// (a soft fault whose OS cost is not charged, as in the paper's
-	// methodology).
-	_, created, err := vm.ensureMapped(v)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if created && m.faultLogOn {
-		m.faultLog = append(m.faultLog, snapshot.Fault{ASID: uint16(asid), Addr: uint64(v)})
 	}
 
 	if frame, size, hit := m.l1tlb[coreID].Lookup(v, asid); hit {
@@ -70,6 +57,7 @@ func (m *memSystem) Translate(now uint64, v mem.VAddr, asid mem.ASID, coreID int
 	var done uint64
 	var frame mem.PAddr
 	var size mem.PageSize
+	var err error
 	switch m.cfg.Org {
 	case OrgPOM:
 		done, frame, size, err = m.translatePOM(t, v, asid, coreID)
@@ -86,14 +74,36 @@ func (m *memSystem) Translate(now uint64, v mem.VAddr, asid mem.ASID, coreID int
 	return done, frame + mem.PAddr(mem.PageOffset(v, size)), true, nil
 }
 
+// walk demand-maps v's page, then walks the tables for it. Every
+// organisation's table walk goes through here, and it is the only place a
+// reference takes a first-touch fault (a soft fault whose OS cost is not
+// charged, as in the paper's methodology): pages are never unmapped, and
+// every TLB, POM-TLB and TSB entry comes from a walk or a prewarm of a
+// mapped page, so a reference to an unmapped page misses all of them and
+// reaches a walk. TestNoPrewarmGolden pins the resulting fault order.
+func (m *memSystem) walk(t uint64, v mem.VAddr, asid mem.ASID, coreID int) (walker.Result, error) {
+	_, created, err := m.vmByASID[asid].ensureMapped(v)
+	if err != nil {
+		return walker.Result{}, err
+	}
+	if created && m.faultLogOn {
+		m.faultLog = append(m.faultLog, snapshot.Fault{ASID: uint16(asid), Addr: uint64(v)})
+	}
+	res, err := m.walkers[coreID].Walk(t, v, asid)
+	if err != nil {
+		return walker.Result{}, err
+	}
+	m.Stats.PageWalks.Inc()
+	return res, nil
+}
+
 // translateWalk is the conventional organisation: every L2 TLB miss is a
 // full (1-D or 2-D) page walk.
 func (m *memSystem) translateWalk(t uint64, v mem.VAddr, asid mem.ASID, coreID int) (uint64, mem.PAddr, mem.PageSize, error) {
-	res, err := m.walkers[coreID].Walk(t, v, asid)
+	res, err := m.walk(t, v, asid, coreID)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	m.Stats.PageWalks.Inc()
 	return res.Done, res.Frame, res.Size, nil
 }
 
@@ -116,11 +126,10 @@ func (m *memSystem) translatePOM(t uint64, v mem.VAddr, asid mem.ASID, coreID in
 		return t, frame, mem.Page4K, nil
 	}
 
-	res, err := m.walkers[coreID].Walk(t, v, asid)
+	res, err := m.walk(t, v, asid, coreID)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	m.Stats.PageWalks.Inc()
 	if multiSize && res.Size == mem.Page2M {
 		m.pom.InsertSizedAt(res.Done, v, asid, res.Frame, mem.Page2M)
 		m.Access(res.Done, m.pom.LineAddrSized(v, asid, mem.Page2M), true, cache.Translation, coreID)
@@ -143,7 +152,7 @@ func (m *memSystem) translatePOM(t uint64, v mem.VAddr, asid mem.ASID, coreID in
 // (gVA→gPA), host TSB again (gPA→hPA) — which is the multi-lookup cost the
 // paper contrasts with POM-TLB's single access (§5.2).
 func (m *memSystem) translateTSB(t uint64, v mem.VAddr, asid mem.ASID, coreID int) (uint64, mem.PAddr, mem.PageSize, error) {
-	vm := m.vms[asid]
+	vm := m.vmByASID[asid]
 	htsb := m.htsb[asid]
 
 	if !vm.space.Virtualized() {
@@ -152,11 +161,10 @@ func (m *memSystem) translateTSB(t uint64, v mem.VAddr, asid mem.ASID, coreID in
 		if frame, hit := htsb.Lookup(v, asid); hit {
 			return t, frame, mem.Page4K, nil
 		}
-		res, err := m.walkers[coreID].Walk(t, v, asid)
+		res, err := m.walk(t, v, asid, coreID)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		m.Stats.PageWalks.Inc()
 		htsb.Insert(v, asid, res.Frame)
 		m.Access(res.Done, htsb.EntryAddr(v, asid), true, cache.Translation, coreID)
 		return res.Done, res.Frame, res.Size, nil
@@ -178,11 +186,10 @@ func (m *memSystem) translateTSB(t uint64, v mem.VAddr, asid mem.ASID, coreID in
 	}
 	// Any miss in the chain: fall back to the full 2-D walk, then refill
 	// both TSBs.
-	res, err := m.walkers[coreID].Walk(t, v, asid)
+	res, err := m.walk(t, v, asid, coreID)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	m.Stats.PageWalks.Inc()
 	gpaFrame, _, ok := vm.space.Guest.Lookup(v)
 	if !ok {
 		return 0, 0, 0, fmt.Errorf("sim: TSB refill: %#x unmapped in guest table", v)

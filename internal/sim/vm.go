@@ -46,92 +46,7 @@ type vmState struct {
 	hugePages bool
 	ept4K     bool // fragmented host: 4 KB EPT mappings
 
-	// present caches which mapping granules are already installed, so the
-	// fast engine's per-reference mapped-check is one open-addressing probe
-	// instead of a full radix page-table walk through Go maps. Nil under
-	// the reference engine. presentShift is the granule: 2 MB for native
-	// huge-page VMs (one mapping covers the whole granule), 4 KB otherwise.
-	present      *pageSet
-	presentShift uint
-
 	touchedPages uint64
-}
-
-// enableFastPresence switches the VM to the fast engine's mapped-check.
-// Call before any ensureMapped traffic.
-func (vm *vmState) enableFastPresence() {
-	vm.presentShift = mem.PageShift4K
-	if vm.hugePages && !vm.space.Virtualized() {
-		vm.presentShift = mem.PageShift2M
-	}
-	vm.present = newPageSet()
-}
-
-// pageSet is a grow-on-demand open-addressing hash set of uint64 keys with
-// linear probing. Slots store key+1 so the zero value means empty; lookups
-// are allocation-free.
-type pageSet struct {
-	slots []uint64
-	n     int
-	mask  uint64
-}
-
-func newPageSet() *pageSet {
-	const initial = 1024
-	return &pageSet{slots: make([]uint64, initial), mask: initial - 1}
-}
-
-// hash is the splitmix64 finalizer — the same mixer the POM set hash uses.
-func (s *pageSet) hash(key uint64) uint64 {
-	z := key + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (s *pageSet) has(key uint64) bool {
-	i := s.hash(key) & s.mask
-	for {
-		v := s.slots[i]
-		if v == 0 {
-			return false
-		}
-		if v == key+1 {
-			return true
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-func (s *pageSet) add(key uint64) {
-	if 4*(s.n+1) > 3*len(s.slots) {
-		s.grow()
-	}
-	i := s.hash(key) & s.mask
-	for {
-		v := s.slots[i]
-		if v == 0 {
-			s.slots[i] = key + 1
-			s.n++
-			return
-		}
-		if v == key+1 {
-			return
-		}
-		i = (i + 1) & s.mask
-	}
-}
-
-func (s *pageSet) grow() {
-	old := s.slots
-	s.slots = make([]uint64, 2*len(old))
-	s.mask = uint64(len(s.slots) - 1)
-	s.n = 0
-	for _, v := range old {
-		if v != 0 {
-			s.add(v - 1)
-		}
-	}
 }
 
 // newVM builds one VM's address-translation state. For a virtualized VM the
@@ -197,27 +112,10 @@ func (pm pageMapping) guestPage(v mem.VAddr) mem.PAddr {
 // touch: a soft page fault whose OS cost, like the paper's, is not charged
 // to the pipeline. Returns true if a new page was mapped, with the mapping
 // it installed; an already-mapped page returns false and a zero mapping
-// (resolve walks the tables for it).
-//
-// Under the fast engine the presence set answers the (overwhelmingly
-// common) already-mapped case in O(1); a set miss falls through to the
-// reference path, whose outcome is then recorded. Behaviour is identical:
-// the set only short-circuits the pure "is it mapped" radix-table check.
+// (resolve walks the tables for it). It runs in memSystem.walk, just
+// before every table walk, and at set-up for prewarm and fault-log replay;
+// both engines share this one mapping path.
 func (vm *vmState) ensureMapped(v mem.VAddr) (pageMapping, bool, error) {
-	if vm.present != nil {
-		if vm.present.has(uint64(v) >> vm.presentShift) {
-			return pageMapping{}, false, nil
-		}
-		pm, created, err := vm.ensureMappedSlow(v)
-		if err == nil {
-			vm.present.add(uint64(v) >> vm.presentShift)
-		}
-		return pm, created, err
-	}
-	return vm.ensureMappedSlow(v)
-}
-
-func (vm *vmState) ensureMappedSlow(v mem.VAddr) (pageMapping, bool, error) {
 	if _, _, ok := vm.space.Guest.Lookup(v); ok {
 		return pageMapping{}, false, nil
 	}

@@ -29,8 +29,8 @@ type State struct {
 	SampleBase  SampleBase `json:"sampleBase"`
 	// Faults is the ordered demand-fault log: every (asid, vaddr) whose
 	// first touch allocated frames after construction. Replaying it through
-	// the VM mapping path reproduces the frame allocators, page tables and
-	// present sets exactly.
+	// the VM mapping path reproduces the frame allocators and page tables
+	// exactly.
 	Faults []Fault `json:"faults"`
 	// VMs carries per-address-space verification values checked after
 	// fault-log replay.
