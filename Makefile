@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-fabric race-snapshot fabric-smoke fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache equivalence alloc golden-update bench bench-json introspect-smoke check
+.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-fabric race-snapshot fabric-smoke fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache equivalence alloc golden-update bench bench-json perfbench-smoke introspect-smoke check
 
 # Every test invocation gets a hard -timeout (a wedged test must fail, not
 # hang CI — the same philosophy as the simulator's own watchdogs) and
@@ -104,13 +104,15 @@ fuzz-snapshot:
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
 
 # Bounded fuzz pass over the page table against its map-of-maps oracle
-# (internal/pagetable/oracle_test.go): random Map/Lookup/Walk/NodeFrameAt
-# sequences over 4 and 5 levels and 4K/2M pages must agree on every
-# result, error, node count and frame-allocation order. Both engines share
-# the page table, so the engine-equivalence suite cannot catch its bugs.
-# Extend -fuzztime for deeper soaks.
+# (internal/pagetable/oracle_test.go): random Map/Lookup/Walk sequences
+# over 4 and 5 levels and 4K/2M pages, with frames on both sides of the
+# 2^38 bound, must agree on every result, error, node count and
+# frame-allocation order. Both engines share the page table, so the
+# engine-equivalence suite cannot catch its bugs. Minimization is bounded
+# because the ops inputs are long: unbounded, it idles the workers for
+# most of a 60 s soak. Extend -fuzztime for deeper soaks.
 fuzz-pagetable:
-	$(GO) test ./internal/pagetable/ -run '^$$' -fuzz FuzzTableOracle -fuzztime 30s
+	$(GO) test ./internal/pagetable/ -run '^$$' -fuzz FuzzTableOracle -fuzztime 30s -fuzzminimizetime 50x
 
 # Bounded fuzz pass over the data caches' flat layout against the reference
 # layout (internal/cache/layouts_fuzz_test.go): random Lookup/Fill/FillAt/
@@ -159,5 +161,17 @@ bench:
 # against the latest prior report (see cmd/benchreg).
 bench-json:
 	$(GO) run ./cmd/benchreg -dir .
+
+# The benchmark module: perfbench/ is a nested Go module, so the ./...
+# patterns above never compile it. Vet and test it, then run one short
+# workload through perfbench/run.sh (which builds from this checkout into
+# .bench_build) and require its closing JSON line to report a correct run
+# with no failed checks.
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test $(TESTFLAGS) ./...
+	@last=$$(bash perfbench/run.sh --workload stream_pom_d --seconds 2 --trace 0 | tail -n 1); \
+	echo "$$last"; \
+	echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -q '"failed":0[,}]' || \
+		{ echo "perfbench-smoke: the run was not correct or had failed checks" >&2; exit 1; }
 
 check: build vet test alloc race-short race-fault race-telemetry race-chaos race-fabric race-snapshot introspect-smoke

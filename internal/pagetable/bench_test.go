@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/csalt-sim/csalt/internal/mem"
 )
@@ -72,6 +73,28 @@ func newWalkBench(b *testing.B) *walkBench {
 		w.pages[i] = v
 	}
 	return w
+}
+
+// BenchmarkTableMap measures building the walk benchmark's address space
+// page by page, as a simulation's set-up does: each footprint page is a
+// guest map (its new table nodes EPT-backed through eptAlloc, so each
+// node frame is also a host map) plus a host map of its data gPA, which
+// the host table holds densely. It reports set-up time per footprint
+// page and the two tables' PTE-store bytes per stored entry.
+// cmd/benchreg's go-bench pass picks it up.
+func BenchmarkTableMap(b *testing.B) {
+	b.ReportAllocs()
+	var w *walkBench
+	for i := 0; i < b.N; i++ {
+		w = newWalkBench(b)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(w.pages)), "ns/page")
+	var bytes, ptes int
+	for _, t := range []*Table{w.guest, w.host} {
+		bytes += len(t.ptes.slots) * int(unsafe.Sizeof(t.ptes.slots[0]))
+		ptes += t.ptes.n
+	}
+	b.ReportMetric(float64(bytes)/float64(ptes), "B/pte")
 }
 
 // xorshift picks the next footprint page — cheap enough not to drown the

@@ -15,6 +15,10 @@ import (
 // nodes. It is kept only as the differential oracle for FuzzTableOracle —
 // both simulation engines share the production table, so the engine
 // equivalence suite cannot catch a page-table bug; this oracle can.
+//
+// It holds full 64-bit frames, so nothing limits what it can store; it
+// enforces the production table's rule that node and leaf frames lie
+// below 2^38 (oracleLimit) only so that the two keep failing alike.
 type oracleTable struct {
 	levels int
 	alloc  FrameAlloc
@@ -25,6 +29,8 @@ type oracleTable struct {
 	mapped4K  uint64
 	mapped2M  uint64
 }
+
+const oracleLimit = mem.PAddr(1) << 38
 
 type oracleEntry struct {
 	present bool
@@ -56,6 +62,9 @@ func (t *oracleTable) newNode() (*oracleNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pagetable: allocating node: %w", err)
 	}
+	if frame >= oracleLimit {
+		return nil, fmt.Errorf("pagetable: node frame %#x not below 2^38", frame)
+	}
 	n := &oracleNode{frame: frame, entries: make(map[int]oracleEntry)}
 	t.nodes[frame] = n
 	t.nodeCount++
@@ -71,6 +80,9 @@ func (t *oracleTable) MappedPages() (p4k, p2m uint64) { return t.mapped4K, t.map
 func (t *oracleTable) Map(v mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
 	if uint64(frame)&(size.Bytes()-1) != 0 {
 		return fmt.Errorf("pagetable: frame %#x not aligned to %s page", frame, size)
+	}
+	if frame >= oracleLimit {
+		return fmt.Errorf("pagetable: frame %#x not below 2^38", frame)
 	}
 	stop := leafLevel(size)
 	n := t.root
@@ -146,32 +158,23 @@ func (t *oracleTable) Walk(v mem.VAddr, steps []Step) ([]Step, mem.PAddr, mem.Pa
 	return steps, 0, 0, false
 }
 
-func (t *oracleTable) NodeFrameAt(v mem.VAddr, level int) (mem.PAddr, bool) {
-	if level >= t.levels || level < 1 {
-		return 0, false
-	}
-	n := t.root
-	for l := t.levels; l > level; l-- {
-		e := n.entries[index(v, l)]
-		if !e.present || e.leaf {
-			return 0, false
-		}
-		n = t.nodes[e.next]
-	}
-	return n.frame, true
-}
-
-// recordingAlloc hands out frames from a scrambled allocator based at
-// physical address 0, as the simulator's host allocator is, so the first
-// node frame — and the first PTE address — is 0. It fails once limit
-// frames are out and records every frame it returned.
+// recordingAlloc hands out node frames, fails once limit frames are out
+// and records every frame it returned. By default the frames come from a
+// scrambled allocator based at physical address 0, as the simulator's
+// host allocator is, so the first node frame — and the first PTE address
+// — is 0. A high allocator instead counts up across the 2^38 bound: the
+// frame it hands out after limit/2 others is exactly 2^38.
 type recordingAlloc struct {
-	inner *mem.FrameAllocator
+	inner *mem.FrameAllocator // nil when high
+	next  mem.PAddr           // next frame when high
 	limit int
 	got   []mem.PAddr
 }
 
-func newRecordingAlloc(limit int) *recordingAlloc {
+func newRecordingAlloc(limit int, high bool) *recordingAlloc {
+	if high {
+		return &recordingAlloc{next: oracleLimit - mem.PAddr(limit/2)*mem.PageSize4K, limit: limit}
+	}
 	return &recordingAlloc{inner: mem.NewFrameAllocator(0, 64<<20, true), limit: limit}
 }
 
@@ -179,9 +182,14 @@ func (a *recordingAlloc) Alloc4K() (mem.PAddr, error) {
 	if len(a.got) >= a.limit {
 		return 0, errors.New("frame budget exhausted")
 	}
-	f, err := a.inner.Alloc4K()
-	if err != nil {
-		return 0, err
+	f := a.next
+	if a.inner != nil {
+		var err error
+		if f, err = a.inner.Alloc4K(); err != nil {
+			return 0, err
+		}
+	} else {
+		a.next += mem.PageSize4K
 	}
 	a.got = append(a.got, f)
 	return f, nil
@@ -211,7 +219,8 @@ func fuzzVA(r uint32) mem.VAddr {
 }
 
 // Fuzz operations are fixed 9-byte records: an opcode byte, 4 bytes of
-// address material (fuzzVA) and 4 bytes of frame number.
+// address material (fuzzVA) and 4 bytes of frame number. A 32-bit frame
+// number reaches far past the 2^38 bound in either page size.
 const (
 	fuzzOpBytes = 9
 	fuzzMaxOps  = 256
@@ -245,13 +254,13 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// FuzzTableOracle drives random Map/Lookup/Translate/Walk/NodeFrameAt
-// sequences through the PTE-store table and the map-of-maps oracle over
-// 4 and 5 levels and 4K/2M pages, each fed by its own identical
-// allocator, and requires them to agree on every result, step list and
-// error, on NodeCount, on MappedPages and on the frame-allocation
-// sequence. The seed corpus runs in every `go test`; `make
-// fuzz-pagetable` explores further.
+// FuzzTableOracle drives random Map/Lookup/Translate/Walk sequences
+// through the PTE-store table and the map-of-maps oracle over 4 and 5
+// levels and 4K/2M pages, each fed by its own identical allocator (high:
+// one counting up across 2^38), and requires them to agree on every
+// result, step list and error, on NodeCount, on MappedPages and on the
+// frame-allocation sequence. The seed corpus runs in every `go test`;
+// `make fuzz-pagetable` explores further.
 func FuzzTableOracle(f *testing.F) {
 	const (
 		r0       = 0           // VA 0: every index 0, so PTE address 0 is touched
@@ -262,6 +271,12 @@ func FuzzTableOracle(f *testing.F) {
 		frameA   = 0x12345
 		frameB   = 0x23456
 		hugeSlot = 0x7
+
+		// Frame numbers at the 2^38 bound: the last page below it, and it.
+		top4K   = 1<<(38-12) - 1
+		top2M   = 1<<(38-21) - 1
+		limit4K = top4K + 1
+		limit2M = top2M + 1
 	)
 	mixed := fuzzOps(
 		fuzzOp(fuzzOpMap4K, r0, 0), // frame 0 is a valid leaf target
@@ -283,17 +298,32 @@ func FuzzTableOracle(f *testing.F) {
 		fuzzOp(fuzzOpProbe, rFar|0x100, 0),
 		fuzzOp(fuzzOpProbe, rFar, 0), // misses at level 1 only
 	)
+	bound := fuzzOps(
+		fuzzOp(fuzzOpMap4K, rA, top4K), // accepted
+		fuzzOp(fuzzOpProbe, rA, 0),
+		fuzzOp(fuzzOpMap4K, rB, limit4K), // rejected
+		fuzzOp(fuzzOpProbe, rB, 0),
+		fuzzOp(fuzzOpMap2M, rHuge, top2M), // accepted
+		fuzzOp(fuzzOpProbe, rHuge|0xabc000, 0),
+		fuzzOp(fuzzOpMap2M, rFar, limit2M), // rejected
+		fuzzOp(fuzzOpProbe, rFar, 0),
+	)
 	for _, five := range []bool{false, true} {
-		f.Add(five, uint8(255), mixed)
-		f.Add(five, uint8(3), mixed) // budget runs out part-way through a Map
-		f.Add(five, uint8(0), mixed) // New itself fails
+		f.Add(five, uint8(255), false, mixed)
+		f.Add(five, uint8(3), false, mixed) // budget runs out part-way through a Map
+		f.Add(five, uint8(0), false, mixed) // New itself fails
 	}
-	f.Fuzz(func(t *testing.T, five bool, budget uint8, ops []byte) {
+	for _, five := range []bool{false, true} {
+		f.Add(five, uint8(255), false, bound)
+		f.Add(five, uint8(8), true, mixed) // the fifth node frame is 2^38
+		f.Add(five, uint8(1), true, mixed) // the root frame is 2^38
+	}
+	f.Fuzz(func(t *testing.T, five bool, budget uint8, high bool, ops []byte) {
 		levels := 4
 		if five {
 			levels = 5
 		}
-		gotA, wantA := newRecordingAlloc(int(budget)), newRecordingAlloc(int(budget))
+		gotA, wantA := newRecordingAlloc(int(budget), high), newRecordingAlloc(int(budget), high)
 		got, gotErr := New(gotA, levels)
 		want, wantErr := newOracle(wantA, levels)
 		if errString(gotErr) != errString(wantErr) {
@@ -332,13 +362,6 @@ func FuzzTableOracle(f *testing.F) {
 			wsteps, wf, ws, wok := want.Walk(v, nil)
 			if !reflect.DeepEqual(gsteps, wsteps) || gf != wf || gs != ws || gok != wok {
 				t.Fatalf("%s: Walk(%#x) = %v,%#x,%v,%v, oracle %v,%#x,%v,%v", what, v, gsteps, gf, gs, gok, wsteps, wf, ws, wok)
-			}
-			for level := 0; level <= levels+1; level++ {
-				gn, gok := got.NodeFrameAt(v, level)
-				wn, wok := want.NodeFrameAt(v, level)
-				if gn != wn || gok != wok {
-					t.Fatalf("%s: NodeFrameAt(%#x, %d) = %#x,%v, oracle %#x,%v", what, v, level, gn, gok, wn, wok)
-				}
 			}
 		}
 

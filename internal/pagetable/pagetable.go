@@ -16,6 +16,13 @@
 // the way hardware finds it: by address. A walk step is one hash probe —
 // read the PTE at frame+8·idx — and the word's frame field is the next
 // node's frame.
+//
+// Each store slot is a single uint64 carrying both the PTE's address and
+// its word. That packing is exact because every frame a table stores,
+// node or leaf, lies below 2^38 (256 GB): the simulator's host RAM is
+// exactly [0, 256 GB) and a VM's guest-physical space ends at 2.5 GB.
+// Map and node allocation reject a frame at or above the bound, so a
+// larger address fails loudly instead of aliasing another entry.
 package pagetable
 
 import (
@@ -27,11 +34,18 @@ import (
 const (
 	entriesPerNode = 512 // 9 index bits per level
 	entryBytes     = 8
+
+	// physBits bounds the address space a table lives in and maps into:
+	// every node and leaf frame is below 1<<physBits.
+	physBits  = 38
+	physLimit = mem.PAddr(1) << physBits
 )
 
 // FrameAlloc supplies 4 KB frames for table nodes, in whatever address
-// domain the table lives in. Frames must be 4 KB aligned: a PTE word
-// keeps its flags in the low 12 bits of the frame it points to.
+// domain the table lives in. Frames must be 4 KB aligned, since a PTE
+// word keeps its flags in the low 12 bits of the frame it points to, and
+// below 2^38, since the PTE store packs frames into 26 bits; a table
+// refuses a node frame at or above 2^38.
 type FrameAlloc interface {
 	Alloc4K() (mem.PAddr, error)
 }
@@ -52,6 +66,7 @@ const (
 	ptePresent   = 1 << 0
 	pteLeaf      = 1 << 1
 	pte2M        = 1 << 2
+	pteFlagMask  = ptePresent | pteLeaf | pte2M
 	pteFrameMask = ^uint64(mem.PageSize4K - 1)
 )
 
@@ -106,6 +121,9 @@ func (t *Table) newNode() (mem.PAddr, error) {
 	if err != nil {
 		return 0, fmt.Errorf("pagetable: allocating node: %w", err)
 	}
+	if frame >= physLimit {
+		return 0, fmt.Errorf("pagetable: node frame %#x not below 2^%d", frame, physBits)
+	}
 	t.nodeCount++
 	return frame, nil
 }
@@ -143,12 +161,15 @@ func leafLevel(size mem.PageSize) int {
 }
 
 // Map installs a translation from the page containing v to frame. Frame
-// must be aligned to the page size. Remapping an existing page to a
-// different frame, or crossing a previously installed mapping of another
-// size, is an error — the simulator never remaps.
+// must be aligned to the page size and lie below 2^38. Remapping an
+// existing page to a different frame, or crossing a previously installed
+// mapping of another size, is an error — the simulator never remaps.
 func (t *Table) Map(v mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
 	if uint64(frame)&(size.Bytes()-1) != 0 {
 		return fmt.Errorf("pagetable: frame %#x not aligned to %s page", frame, size)
+	}
+	if frame >= physLimit {
+		return fmt.Errorf("pagetable: frame %#x not below 2^%d", frame, physBits)
 	}
 	stop := leafLevel(size)
 	node := t.root
@@ -234,98 +255,101 @@ func (t *Table) Walk(v mem.VAddr, steps []Step) ([]Step, mem.PAddr, mem.PageSize
 	return steps, 0, 0, false
 }
 
-// NodeFrameAt returns the frame address of the interior node that a walk
-// for v reaches at the given level, or false if the path is not populated
-// that deep. The walker's MMU caches (PSC) use it to skip upper levels.
-func (t *Table) NodeFrameAt(v mem.VAddr, level int) (mem.PAddr, bool) {
-	if level >= t.levels || level < 1 {
-		return 0, false
-	}
-	node := t.root
-	for l := t.levels; l > level; l-- {
-		w := t.ptes.get(pteAddr(node, v, l))
-		if w == 0 || w&pteLeaf != 0 {
-			return 0, false
-		}
-		node = wordFrame(w)
-	}
-	return node, true
-}
-
 // pteStore maps PTE addresses to PTE words: a grow-on-demand
-// open-addressing hash table with linear probing over interleaved
-// address/word slots, so a probe usually reads one host cache line.
+// open-addressing hash table with linear probing over one-word slots, so
+// a probe usually reads one host cache line.
 //
 // Keying by PTE address rather than keeping a node object per frame is
 // what keeps big sparse address spaces cheap. A fragmented heap populates
 // only a handful of the 512 slots in each leaf node, so a dense 512-entry
 // array per node would make large simulations memory-hungry, and a Go map
 // per node (plus a frame-to-node index) costs two map lookups and a
-// pointer chase per walk step. Here each present PTE costs one 16-byte
+// pointer chase per walk step. Here each present PTE costs one 8-byte
 // slot at no more than 3/4 load, sparse or dense, and each step one probe.
 //
-// Address 0 is an ordinary key — a scrambled allocator hands out frame 0
-// first — so emptiness is carried by the word: stored words are never
-// zero (ptePresent is always set).
+// A slot packs the entry's address and word together:
+//
+//	bits 63..29  PTE address >> 3 (the key: addresses are 8-byte aligned)
+//	bits 28..3   frame >> 12      (next node, or mapped page when leaf)
+//	bit  2       2M
+//	bit  1       leaf
+//	bit  0       present
+//
+// which holds every address below 2^38 (see the package comment). get
+// unpacks the same PTE word the table stores. Address 0 is an ordinary
+// key — a scrambled allocator hands out frame 0 first — so emptiness is
+// carried by the flags: a stored slot always has present set, and a zero
+// slot is empty.
 type pteStore struct {
-	slots []pteSlot
+	slots []uint64
 	n     int
 	shift uint // 64 - log2(len(slots)): the hash keeps the top bits
 }
 
-type pteSlot struct {
-	addr mem.PAddr
-	word uint64
-}
+const (
+	pteStoreInitialLog2 = 8 // 256 slots: a fresh table holds a few PTEs
 
-const pteStoreInitialLog2 = 8 // 256 slots: a fresh table holds a few PTEs
+	slotKeyShift   = physBits - mem.PageShift4K + 3 // 29: above frame and flags
+	slotFrameShift = mem.PageShift4K - 3            // frame>>12<<3 is frame>>9
+	slotFrameMask  = (uint64(1)<<(physBits-mem.PageShift4K) - 1) << 3
+)
 
 func newPTEStore() pteStore {
-	return pteStore{slots: make([]pteSlot, 1<<pteStoreInitialLog2), shift: 64 - pteStoreInitialLog2}
+	return pteStore{slots: make([]uint64, 1<<pteStoreInitialLog2), shift: 64 - pteStoreInitialLog2}
 }
 
-// home is the first slot probed for addr: a multiplicative hash of the
-// entry index (PTE addresses are 8-byte aligned), keeping the high bits.
-// The multiplier is splitmix64's, not the golden ratio the scrambled
-// frame allocator permutes with, so the two never correlate.
-func (s *pteStore) home(addr mem.PAddr) uint64 {
-	return (uint64(addr) >> 3) * 0xBF58476D1CE4E5B9 >> s.shift
+// home is the first slot probed for the entry with index key (its PTE
+// address >> 3): a multiplicative hash keeping the high bits. The
+// multiplier is splitmix64's, not the golden ratio the scrambled frame
+// allocator permutes with, so the two never correlate.
+func (s *pteStore) home(key uint64) uint64 {
+	return key * 0xBF58476D1CE4E5B9 >> s.shift
 }
 
 // get returns the word stored at addr, or 0 if the entry is absent.
 func (s *pteStore) get(addr mem.PAddr) uint64 {
+	key := uint64(addr) >> 3
 	mask := uint64(len(s.slots) - 1)
-	for i := s.home(addr); ; i = (i + 1) & mask {
-		sl := &s.slots[i]
-		if sl.word == 0 || sl.addr == addr {
-			return sl.word
+	for i := s.home(key); ; i = (i + 1) & mask {
+		sl := s.slots[i]
+		if sl == 0 {
+			return 0
+		}
+		if sl>>slotKeyShift == key {
+			return (sl&slotFrameMask)<<slotFrameShift | sl&pteFlagMask
 		}
 	}
 }
 
-// insert stores word (nonzero) at addr, which must be absent: entries are
-// written once, since the simulator never remaps.
+// insert stores word (present, frame below 2^38) at addr (below 2^38),
+// which must be absent: entries are written once, since the simulator
+// never remaps.
 func (s *pteStore) insert(addr mem.PAddr, word uint64) {
+	s.put(uint64(addr)>>3<<slotKeyShift | (word&pteFrameMask)>>slotFrameShift | word&pteFlagMask)
+}
+
+// put stores a packed slot whose key is absent.
+func (s *pteStore) put(slot uint64) {
 	if 4*(s.n+1) > 3*len(s.slots) {
 		s.grow()
 	}
 	mask := uint64(len(s.slots) - 1)
-	i := s.home(addr)
-	for s.slots[i].word != 0 {
+	i := s.home(slot >> slotKeyShift)
+	for s.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	s.slots[i] = pteSlot{addr: addr, word: word}
+	s.slots[i] = slot
 	s.n++
 }
 
 func (s *pteStore) grow() {
 	old := s.slots
-	s.slots = make([]pteSlot, 2*len(old))
+	s.slots = make([]uint64, 2*len(old))
 	s.shift--
 	s.n = 0
 	for _, sl := range old {
-		if sl.word != 0 {
-			s.insert(sl.addr, sl.word)
+		if sl != 0 {
+			s.put(sl)
 		}
 	}
 }

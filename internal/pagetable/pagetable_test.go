@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,39 @@ func TestMapErrors(t *testing.T) {
 	if err := tbl.Map(0x40001000, 0x4000, mem.Page4K); err == nil {
 		t.Error("map under 2M leaf accepted")
 	}
+	// Frames must lie below 2^38, the bound the PTE store packs into.
+	for _, c := range []struct {
+		v     mem.VAddr
+		frame mem.PAddr
+		size  mem.PageSize
+		ok    bool
+	}{
+		{0x80000000, 1<<38 - mem.PageSize4K, mem.Page4K, true},
+		{0x80001000, 1 << 38, mem.Page4K, false},
+		{0xc0000000, 1<<38 - mem.PageSize2M, mem.Page2M, true},
+		{0xc0200000, 1 << 38, mem.Page2M, false},
+	} {
+		err := tbl.Map(c.v, c.frame, c.size)
+		if (err == nil) != c.ok {
+			t.Errorf("Map(%#x, %#x, %s) = %v, want accepted %v", c.v, c.frame, c.size, err, c.ok)
+		}
+		frame, size, ok := tbl.Lookup(c.v)
+		if ok != c.ok || (ok && (frame != c.frame || size != c.size)) {
+			t.Errorf("Lookup(%#x) = %#x,%v,%v after Map(%#x, %s)", c.v, frame, size, ok, c.frame, c.size)
+		}
+	}
+	// A node frame at 2^38 is refused, not truncated: this allocator hands
+	// out 2^38 - 4 KB for the root and 2^38 next.
+	high, err := New(newRecordingAlloc(2, true), 4)
+	if err != nil {
+		t.Fatalf("root frame below 2^38 refused: %v", err)
+	}
+	if err := high.Map(v, 0x2000, mem.Page4K); err == nil {
+		t.Error("node frame 2^38 accepted")
+	}
+	if _, _, ok := high.Lookup(v); ok {
+		t.Error("map through a refused node frame resolved")
+	}
 }
 
 func TestWalkStepCount(t *testing.T) {
@@ -172,33 +206,6 @@ func TestNodeSharing(t *testing.T) {
 	}
 }
 
-func TestNodeFrameAt(t *testing.T) {
-	tbl, _ := newTable(t, 4)
-	v := mem.VAddr(0x7f0000123000)
-	if err := tbl.Map(v, 0x8000, mem.Page4K); err != nil {
-		t.Fatal(err)
-	}
-	steps, _, _, _ := tbl.Walk(v, nil)
-	// The node frame at level L is the frame containing the step-PTE for
-	// level L.
-	for _, want := range []int{3, 2, 1} {
-		frame, ok := tbl.NodeFrameAt(v, want)
-		if !ok {
-			t.Fatalf("NodeFrameAt(%d) missing", want)
-		}
-		pte := steps[4-want].Addr
-		if pte < frame || pte >= frame+mem.PageSize4K {
-			t.Errorf("level %d: PTE %#x not in node frame %#x", want, pte, frame)
-		}
-	}
-	if _, ok := tbl.NodeFrameAt(v, 4); ok {
-		t.Error("NodeFrameAt(levels) should be false")
-	}
-	if _, ok := tbl.NodeFrameAt(0xdeadbeef000, 1); ok {
-		t.Error("NodeFrameAt on unmapped path should be false")
-	}
-}
-
 // TestWalkMatchesLookup: Walk and Lookup agree for arbitrary map/lookup
 // sequences.
 func TestWalkMatchesLookup(t *testing.T) {
@@ -260,5 +267,42 @@ func TestStepsWithinNodeFrames(t *testing.T) {
 				t.Fatalf("PTE %#x outside node allocator range", s.Addr)
 			}
 		}
+	}
+}
+
+// TestScatteredTableAllocBytes: a table of 100,000 pages scattered over
+// the 48-bit VA space — about 300,000 PTEs, the sparse shape that makes
+// the PTE store the table's whole footprint — allocates about 8 MB while
+// it is built: 8-byte slots, doubling from 256 up to 2^20. The bound
+// sits halfway to the 16 MB that slots holding the address beside the
+// word would take, so a store that stops packing fails it.
+func TestScatteredTableAllocBytes(t *testing.T) {
+	const pages = 100_000
+	nodes := mem.NewFrameAllocator(0, 4<<30, true)
+	data := mem.NewFrameAllocator(4<<30, 4<<30, true)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl, err := New(nodes, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < pages; i++ {
+		v := mem.VAddr(i * 0x9E3779B97F4A7C15 >> 28 << mem.PageShift4K) // 36-bit page number
+		frame, err := data.Alloc4K()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Map(v, frame, mem.Page4K); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if p4, _ := tbl.MappedPages(); p4 != pages {
+		t.Fatalf("mapped %d pages, want %d", p4, pages)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d pages, %d PTEs: %d bytes allocated", pages, tbl.ptes.n, got)
+	if got > 12<<20 {
+		t.Errorf("building the table allocated %d bytes, want at most %d", got, 12<<20)
 	}
 }
