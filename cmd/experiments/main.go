@@ -39,17 +39,8 @@
 // against a tiny fig3 sweep, each required to end clean or to fail
 // classified and resume to byte-identical tables.
 //
-// Distributed sweeps (see ROBUSTNESS.md, "Distributed sweeps"): -serve
-// ADDR runs the sweep as a coordinator for cmd/csaltd pull workers —
-// jobs are leased with deadlines, crashed or stalled workers forfeit
-// their leases, stragglers can be hedged (-hedge-after), poisoned jobs
-// are quarantined (-quarantine-after), and the final tables are
-// byte-identical to a local run under any failure schedule.
-// -local-workers N starts in-process workers alongside; external
-// workers can join at any time. The telemetry plane and the /fabric/v1
-// API share the -serve listener. -fsck (with -results-dir) checks and
-// repairs a results store in place: it truncates a torn tail and
-// compacts duplicate records.
+// -fsck (with -results-dir) checks and repairs a results store in place:
+// it truncates a torn tail and compacts duplicate records.
 //
 // Exit codes: 0 success, 1 simulation failure (failing job labels on
 // stderr), 2 usage/config error, 130 interrupted by signal.
@@ -117,11 +108,6 @@ func main() {
 		chaosSeed   = flag.Uint64("chaos-seed", 1, "base seed for -chaos-sweep schedules")
 		attrOut     = flag.String("attr-out", "", "attach the cycle/miss-attribution plane to every simulation and write per-configuration reports (JSON) into this directory")
 		heatmapCSV  = flag.String("heatmap-csv", "", "write each simulation's per-set occupancy/contention heatmaps (CSV) into this directory")
-		serveAddr   = flag.String("serve", "", "coordinator mode: shard the sweep over pull workers (cmd/csaltd) on this address; telemetry and the /fabric/v1 API share the listener")
-		localWork   = flag.Int("local-workers", 0, "with -serve: start this many in-process workers (external csaltd workers can join at any time)")
-		leaseTTL    = flag.Duration("lease-ttl", 15*time.Second, "with -serve: job-lease deadline; a worker silent past it forfeits the job")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "with -serve: re-dispatch a straggler job to an idle worker after this long in flight (0 = off); first result wins")
-		quarantine  = flag.Int("quarantine-after", 3, "with -serve: permanent failures before a job is quarantined (ERR cell under -keep-going)")
 		fsck        = flag.Bool("fsck", false, "check the -results-dir store: report and repair a torn tail (crash mid-append) and compact duplicate records")
 		listen      = flag.String("listen", "", "serve the live telemetry plane on this address (e.g. localhost:9100): /metrics /healthz /readyz /events /runs")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -201,18 +187,6 @@ func main() {
 		usageFail("-resume needs -results-dir")
 	}
 
-	if *serveAddr != "" {
-		runServe(serveOpts{
-			addr: *serveAddr, scale: sc, todo: todo,
-			resultsDir: *resultsDir, resume: *resume,
-			keepGoing: *keepGoing, jobTimeout: *jobTimeout,
-			leaseTTL: *leaseTTL, hedgeAfter: *hedgeAfter,
-			quarantineAfter: *quarantine, localWorkers: *localWork,
-			stallCycles: *stallCycles, check: *check, quiet: *quiet,
-		})
-		return // unreachable: runServe exits
-	}
-
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
@@ -221,7 +195,7 @@ func main() {
 	eng.JobTimeout = *jobTimeout
 	eng.Runner.StallLimit = *stallCycles
 	eng.Runner.MaxRetries = *retries
-	eng.Runner.Retry = experiment.DefaultBackoff(1)
+	eng.Runner.Retry = experiment.DefaultBackoff()
 	eng.Runner.CheckInvariants = *check
 
 	var snapDir string
@@ -436,6 +410,43 @@ func statusLines(eng *experiment.Engine, snapDir string) []string {
 		lines = append(lines, fmt.Sprintf("snapshot dir: %d live, %d quarantined", info.Snapshots, info.Quarantined))
 	}
 	return lines
+}
+
+// runFsck is -fsck: diagnose a results store, repair what is safely
+// repairable (truncate a torn tail from a crash mid-append, drop
+// superseded duplicate records), and report. It exits 1 when the store
+// cannot be read or repaired.
+func runFsck(dir string) {
+	rep, err := checkpoint.Fsck(dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fsck: %v\n", err)
+		os.Exit(exitSimFailure)
+	}
+	fmt.Printf("fsck %s: %d records, %d distinct keys\n", rep.Path, rep.Records, rep.Records-rep.Duplicates)
+	if rep.TornTail > 0 {
+		fmt.Printf("  torn tail: %d bytes (crash mid-append) — truncating\n", rep.TornTail)
+	}
+	if rep.Duplicates > 0 {
+		fmt.Printf("  duplicates: %d superseded records — compacting\n", rep.Duplicates)
+	}
+	if rep.TornTail == 0 && rep.Duplicates == 0 {
+		fmt.Println("  clean")
+		return
+	}
+	// Opening in resume mode replays the log and truncates the torn tail;
+	// Compact then rewrites the store with one record per key.
+	store, err := checkpoint.Open(dir, true)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fsck: repair: %v\n", err)
+		os.Exit(exitSimFailure)
+	}
+	removed, err := store.Compact()
+	store.Close()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fsck: compact: %v\n", err)
+		os.Exit(exitSimFailure)
+	}
+	fmt.Printf("  repaired: %d duplicate records removed, %d live records kept\n", removed, store.Len())
 }
 
 // runChaosSweep executes the self-checking fault-injection harness and

@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -287,8 +288,11 @@ func runOne(ctx context.Context, opts Options, exp experiment.Experiment,
 	// from them and must still land on the golden bytes — except after a
 	// sim.corrupt injection, whose in-place state corruption is faithfully
 	// carried by any later snapshot (restoring one would just re-detect the
-	// injected violation), so those runs resume from zero.
-	if run.Class != "invariant" {
+	// injected violation), so those runs resume from zero. The run may
+	// have failed with another class before the corruption was audited
+	// (a store error, or a deadline on a slow host), so key on the firing,
+	// not on the class.
+	if !slices.Contains(run.Points, string(faultinject.SimCorrupt)) {
 		eng.Runner.SnapshotDir = filepath.Join(dir, "snapshots")
 		eng.Runner.SnapshotEvery = snapshotEvery
 	}
@@ -327,8 +331,9 @@ func chaosRun(ctx context.Context, opts Options, exp experiment.Experiment,
 	eng.JobTimeout = opts.JobTimeout
 
 	// A live broadcaster gives the telemetry.subscriber.slow point a seam:
-	// job-completion events publish exactly as under `-serve`, and stuck
-	// subscribers injected by the plane must only ever cost drops.
+	// job-completion events publish as they would to /events under
+	// `-listen`, and stuck subscribers injected by the plane must only
+	// ever cost drops.
 	events := telemetry.NewBroadcaster()
 	defer events.Close()
 	events.SetChaos(plane)

@@ -2,8 +2,9 @@ package chaos
 
 import (
 	"context"
-	"strings"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/csalt-sim/csalt/internal/faultinject"
 )
@@ -72,25 +73,80 @@ func TestSweepOutcomeContractUnderParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestExplicitTornSchedule pins the full torn-write path: the injected
-// tear fails the sweep with a store-classified error, fsck flags the torn
-// tail, and the resume reproduces the golden bytes.
-func TestExplicitTornSchedule(t *testing.T) {
-	rep, err := Sweep(context.Background(), Options{
-		Schedule: faultinject.MustParse("store.torn:1"),
-	})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
+// TestPointSchedules fires every injection point once, through an
+// explicit single-rule schedule at the largest ordinal, count and
+// duration faultinject.Generate draws for it, with one worker so the
+// firing order is fixed. Each row must fire its point (per the plane's
+// firing log) and land in the expected outcome and class; rows run in
+// parallel, each with its own plane, store and engine. The store.torn row
+// also pins the full torn-write path: the tear fails the sweep with a
+// store-classified error, fsck flags the torn tail, and the resume
+// reproduces the golden bytes. The seeded 100-schedule sweep
+// (TestSeamCoverage) runs under the chaossweep build tag.
+//
+// The job deadline is not under test except in the worker.stall row, and
+// under the race detector a micro job takes seconds, so the default 1 s
+// deadline would turn every row into a timeout. Rows get a minute; the
+// stall row gets 10 s, well short of its one-minute stall, and runs first
+// so its wait overlaps the other rows.
+func TestPointSchedules(t *testing.T) {
+	rows := []struct {
+		schedule, outcome, class string
+	}{
+		{"worker.stall:1x1m@3", "resumed", "timeout"},
+		{"checkpoint.write:1@3", "resumed", "store"},
+		{"checkpoint.fsync:1@3", "resumed", "store"},
+		{"store.torn:1@3", "resumed", "store"},
+		{"job.panic:1@4", "resumed", "panic"},
+		{"job.transient:2", "clean", ""},
+		{"sim.stall:1@8", "resumed", "stall"},
+		{"sim.corrupt:1@19", "resumed", "invariant"},
+		{"telemetry.subscriber.slow:2", "clean", ""},
+		{"snapshot.write:1@6", "clean", ""},
+		{"snapshot.restore:1@4", "clean", ""},
 	}
-	r := rep.Runs[0]
-	if r.Outcome != "resumed" || r.Class != "store" {
-		t.Fatalf("torn run = %s/%s (%s)", r.Outcome, r.Class, r.Err)
+	largest := make(map[faultinject.Point]faultinject.Rule)
+	for seed := uint64(0); seed < 1000; seed++ {
+		for _, r := range faultinject.Generate(seed) {
+			m := largest[r.Point]
+			m.Point = r.Point
+			m.Nth = max(m.Nth, r.Nth)
+			m.Count = max(m.Count, r.Count)
+			m.Dur = max(m.Dur, r.Dur)
+			largest[r.Point] = m
+		}
 	}
-	if !r.TornTail {
-		t.Error("fsck saw no torn tail after an injected torn write")
+	if len(rows) != len(largest) {
+		t.Errorf("%d rows for %d generated points", len(rows), len(largest))
 	}
-	if !strings.Contains(r.Log, "store.torn") {
-		t.Errorf("firing log missing the tear:\n%s", r.Log)
+
+	for _, row := range rows {
+		t.Run(row.schedule, func(t *testing.T) {
+			t.Parallel()
+			sched := faultinject.MustParse(row.schedule)
+			rule := sched[0]
+			if want := largest[rule.Point]; rule != want {
+				t.Errorf("Generate draws at most %q", want)
+			}
+			opts := Options{Schedule: sched, Workers: 1, JobTimeout: time.Minute}
+			if rule.Point == faultinject.WorkerStall {
+				opts.JobTimeout = 10 * time.Second
+			}
+			rep, err := Sweep(context.Background(), opts)
+			if err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
+			r := rep.Runs[0]
+			if !slices.Contains(r.Points, string(rule.Point)) {
+				t.Errorf("%s never fired; firing log:\n%s", rule.Point, r.Log)
+			}
+			if r.Outcome != row.outcome || r.Class != row.class {
+				t.Errorf("outcome %s/%s, want %s/%s (%s)", r.Outcome, r.Class, row.outcome, row.class, r.Err)
+			}
+			if rule.Point == faultinject.StoreTorn && !r.TornTail {
+				t.Error("fsck saw no torn tail after an injected torn write")
+			}
+		})
 	}
 }
 
@@ -116,34 +172,5 @@ func TestClassifyUnknownIsEmpty(t *testing.T) {
 	}
 	if c := Classify(context.Canceled); c != "cancelled" {
 		t.Errorf("Classify(canceled) = %q", c)
-	}
-}
-
-// TestSeamCoverage sweeps enough seeds that every injection point must
-// fire at least once — the acceptance bar the nightly CI job holds at
-// 1000 seeds.
-func TestSeamCoverage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("100-seed sweep")
-	}
-	rep, err := Sweep(context.Background(), Options{Seed: 1, Runs: 100})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	for _, pt := range []string{
-		"checkpoint.write", "checkpoint.fsync", "store.torn",
-		"job.panic", "job.transient", "worker.stall",
-		"sim.stall", "sim.corrupt", "telemetry.subscriber.slow",
-		"snapshot.write", "snapshot.restore",
-	} {
-		if rep.Coverage[pt] == 0 {
-			t.Errorf("seam %s never fired in 100 seeds\ncoverage:\n%s", pt, rep.CoverageString())
-		}
-	}
-	// The failure classes the seams feed must all have appeared too.
-	for _, class := range []string{"panic", "store", "stall", "timeout", "invariant"} {
-		if rep.Classes[class] == 0 {
-			t.Errorf("class %s never produced: %+v", class, rep.Classes)
-		}
 	}
 }

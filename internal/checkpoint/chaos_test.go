@@ -166,8 +166,8 @@ func TestFsckRejectsForeignHeader(t *testing.T) {
 // A torn append followed by more Puts must not corrupt the ledger: the
 // next write truncates the partial line first, so every later record
 // starts on a clean boundary and a reopened store replays all of them.
-// Retry-heavy writers (the fabric coordinator re-dispatching failed jobs)
-// depend on this self-healing.
+// Jobs still in flight keep appending after a failed Put, so a sweep
+// depends on this self-healing.
 func TestTornAppendHealsBeforeNextWrite(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, false)

@@ -195,9 +195,9 @@ func (s *Store) writeLine(key string, v interface{}) error {
 	line := buf.Bytes()
 	// A previous failed append may have left partial bytes (a torn
 	// record) past the last good boundary. Truncate them away before
-	// writing, so a retried Put cannot merge into the torn line and
-	// corrupt every later record — retry-heavy writers (the fabric
-	// coordinator) depend on the ledger healing itself here.
+	// writing, so a later Put cannot merge into the torn line and corrupt
+	// every record after it — jobs still in flight keep appending after a
+	// failed Put, so the store heals itself here.
 	if s.dirty {
 		if err := s.f.Truncate(s.good); err != nil {
 			return &StoreError{Op: "append", Path: s.path, Key: key, Err: fmt.Errorf("trimming failed append: %w", err)}
@@ -307,20 +307,10 @@ func (s *Store) Replayed() int {
 	return s.loaded
 }
 
-// Records returns the total record lines in the file: everything replayed
-// at Open plus everything appended since. Records minus Len is the
-// duplicate count — re-put keys whose earlier lines are dead weight in the
-// ledger until Compact rewrites it.
-func (s *Store) Records() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loaded + s.appended
-}
-
 // Compact rewrites the store as header + one record per distinct key
 // (sorted, so compacted stores are byte-comparable across runs), dropping
-// the duplicate lines that long resumed or fabric sweeps accumulate when
-// keys are re-put. The rewrite is atomic: a temp file in the same
+// the duplicate lines that long or repeatedly resumed sweeps accumulate
+// when keys are re-put. The rewrite is atomic: a temp file in the same
 // directory is fully written and fsynced before renaming over the live
 // path, so a crash mid-compact leaves either the old ledger or the new one
 // — never a torn mix. Returns how many duplicate records were removed.

@@ -1,39 +1,26 @@
 package experiment
 
-import (
-	"hash/fnv"
-	"time"
-)
+import "time"
 
-// Backoff is the retry-delay policy shared by the runner's local
-// transient-failure retries and the fabric coordinator's job re-dispatch:
-// capped exponential growth plus deterministic seeded jitter, so colliding
-// retries decorrelate without introducing wall-clock nondeterminism into
-// tests — the same (seed, key, attempt) triple always yields the same
-// delay.
+// Backoff is the runner's delay policy between transient-failure retries:
+// the delay doubles from Base per attempt up to Cap, so the same attempt
+// always waits the same time.
 type Backoff struct {
 	// Base is the delay before the first retry (attempt 0); 0 disables
 	// delays entirely (retry immediately).
 	Base time.Duration
 	// Cap bounds the exponential growth; 0 means uncapped.
 	Cap time.Duration
-	// JitterFrac adds up to this fraction of the computed delay as
-	// deterministic jitter in [0, JitterFrac); 0 disables jitter.
-	JitterFrac float64
-	// Seed selects the jitter stream. Two retries of the same key at the
-	// same attempt always draw the same jitter under the same seed.
-	Seed uint64
 }
 
-// DefaultBackoff is the policy cmd/experiments and the fabric default to:
-// 100 ms doubling to a 5 s ceiling with half-delay jitter.
-func DefaultBackoff(seed uint64) Backoff {
-	return Backoff{Base: 100 * time.Millisecond, Cap: 5 * time.Second, JitterFrac: 0.5, Seed: seed}
+// DefaultBackoff is the policy cmd/experiments uses: 100 ms doubling to a
+// 5 s ceiling.
+func DefaultBackoff() Backoff {
+	return Backoff{Base: 100 * time.Millisecond, Cap: 5 * time.Second}
 }
 
-// Delay returns the wait before retry number attempt (0-based) of the job
-// identified by key. The result is deterministic in (Seed, key, attempt).
-func (b Backoff) Delay(key string, attempt int) time.Duration {
+// Delay returns the wait before retry number attempt (0-based).
+func (b Backoff) Delay(attempt int) time.Duration {
 	if b.Base <= 0 {
 		return 0
 	}
@@ -41,8 +28,8 @@ func (b Backoff) Delay(key string, attempt int) time.Duration {
 		attempt = 0
 	}
 	d := b.Base
-	// Shift with explicit overflow/cap guards: attempt counts can grow
-	// unbounded under fabric quarantine policies.
+	// Shift with explicit overflow/cap guards: a caller's attempt count is
+	// not bounded here, and an uncapped shift would wrap negative.
 	for i := 0; i < attempt; i++ {
 		d <<= 1
 		if d <= 0 || (b.Cap > 0 && d >= b.Cap) {
@@ -56,23 +43,5 @@ func (b Backoff) Delay(key string, attempt int) time.Duration {
 	if b.Cap > 0 && d > b.Cap {
 		d = b.Cap
 	}
-	if b.JitterFrac > 0 {
-		span := time.Duration(float64(d) * b.JitterFrac)
-		if span > 0 {
-			d += time.Duration(jitterStream(b.Seed, key, attempt) % uint64(span))
-		}
-	}
 	return d
-}
-
-// jitterStream derives the deterministic jitter word for (seed, key,
-// attempt) with FNV-1a over the key folded into a splitmix64 step — tiny,
-// stable across Go versions, and uniform enough for decorrelation.
-func jitterStream(seed uint64, key string, attempt int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key)) //nolint:errcheck // fnv never fails
-	z := seed ^ h.Sum64() ^ (uint64(attempt+1) * 0x9E3779B97F4A7C15)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }

@@ -5,63 +5,26 @@ import (
 	"time"
 )
 
-// TestBackoffDeterministic pins the retry-pacing contract: the delay for a
-// (seed, key, attempt) triple never changes between calls or instances, so
-// chaos schedules and fabric re-dispatch tests replay identically.
-func TestBackoffDeterministic(t *testing.T) {
-	a := DefaultBackoff(7)
-	b := DefaultBackoff(7)
-	for attempt := 0; attempt < 12; attempt++ {
-		for _, key := range []string{"gups/pom/none", "canneal/pom/dynamic", ""} {
-			if got, want := a.Delay(key, attempt), b.Delay(key, attempt); got != want {
-				t.Fatalf("delay(%q, %d) unstable: %v vs %v", key, attempt, got, want)
-			}
-		}
-	}
-}
-
-// TestBackoffSeedsDecorrelate verifies different seeds produce different
-// jitter somewhere in the first few attempts (the point of seeding).
-func TestBackoffSeedsDecorrelate(t *testing.T) {
-	a, b := DefaultBackoff(1), DefaultBackoff(2)
-	same := true
-	for attempt := 0; attempt < 8 && same; attempt++ {
-		same = a.Delay("k", attempt) == b.Delay("k", attempt)
-	}
-	if same {
-		t.Fatal("seeds 1 and 2 produced identical delay streams")
-	}
-}
-
 // TestBackoffCapAndGrowth checks the envelope: doubling from Base, never
-// exceeding Cap+jitter, immediate retries when Base is zero, and no
-// overflow at absurd attempt counts.
+// exceeding Cap, immediate retries when Base is zero, and no overflow at
+// absurd attempt counts.
 func TestBackoffCapAndGrowth(t *testing.T) {
 	b := Backoff{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}
 	wants := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, w := range wants {
-		if got := b.Delay("k", i); got != w*time.Millisecond {
+		if got := b.Delay(i); got != w*time.Millisecond {
 			t.Fatalf("attempt %d: got %v, want %v", i, got, w*time.Millisecond)
 		}
 	}
-	if got := b.Delay("k", 500); got != 80*time.Millisecond {
+	if got := b.Delay(500); got != 80*time.Millisecond {
 		t.Fatalf("attempt 500: got %v, want cap", got)
 	}
-	if got := (Backoff{}).Delay("k", 3); got != 0 {
+	if got := (Backoff{}).Delay(3); got != 0 {
 		t.Fatalf("zero policy: got %v, want 0", got)
-	}
-	// Jitter stays within the declared fraction.
-	j := Backoff{Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, JitterFrac: 0.5, Seed: 3}
-	for i := 0; i < 10; i++ {
-		got := j.Delay("k", i)
-		base := b.Delay("k", i)
-		if got < base || got >= base+time.Duration(float64(base)*0.5) {
-			t.Fatalf("attempt %d: jittered %v outside [%v, %v)", i, got, base, base*3/2)
-		}
 	}
 	// Uncapped overflow guard: a huge attempt count must not go negative.
 	u := Backoff{Base: time.Second}
-	if got := u.Delay("k", 400); got <= 0 {
+	if got := u.Delay(400); got <= 0 {
 		t.Fatalf("uncapped huge attempt: got %v, want positive", got)
 	}
 }

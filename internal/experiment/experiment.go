@@ -145,7 +145,8 @@ type Runner struct {
 	// path: a failed configuration yields sim.PoisonedResults() (every
 	// float NaN, rendered as ERR by stats.Table) instead of an error, so
 	// table renderers emit their remaining healthy cells. Failures stay
-	// visible through Failures(); pure cancellations are never masked.
+	// visible through FailureOf and NumFailed; pure cancellations are never
+	// masked.
 	KeepGoing bool
 
 	// MaxRetries bounds retry-with-backoff for transient job failures
@@ -153,10 +154,8 @@ type Runner struct {
 	// deterministic simulation errors are never retried regardless.
 	MaxRetries int
 	// Retry shapes the delay between transient-failure attempts: capped
-	// exponential backoff with seeded jitter (see Backoff). The zero value
-	// retries immediately. The fabric coordinator shares the same policy
-	// type for job re-dispatch, so local and distributed retries pace
-	// identically.
+	// exponential backoff (see Backoff). The zero value retries
+	// immediately.
 	Retry Backoff
 
 	// Chaos, when non-nil, attaches the deterministic fault-injection
@@ -184,9 +183,8 @@ type Runner struct {
 
 	// Simulate, when non-nil, replaces the local simulation datapath for
 	// configurations not resolved by the memo cache or checkpoint store.
-	// The engine's fault tests inject failures here, and a fabric
-	// coordinator's table renderer uses it to surface quarantined jobs as
-	// classified errors instead of silently re-simulating them locally.
+	// The engine's fault tests substitute a fake simulation here to inject
+	// failures.
 	Simulate func(ctx context.Context, cfg sim.Config) (*sim.Results, error)
 
 	mu        sync.Mutex
@@ -362,7 +360,7 @@ func (r *Runner) simulate(ctx context.Context, cfg sim.Config) (*sim.Results, bo
 		if attempt >= r.MaxRetries || !IsTransient(err) || ctx.Err() != nil {
 			break
 		}
-		if backoff := r.Retry.Delay(chaosKey(cfg), attempt); backoff > 0 {
+		if backoff := r.Retry.Delay(attempt); backoff > 0 {
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
@@ -463,24 +461,6 @@ func (r *Runner) Replayed() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.replayed
-}
-
-// Forget evicts cfg's memoised outcome so the next Run re-simulates it.
-// Only settled entries are dropped — an in-flight singleflight run keeps
-// its waiters. A fabric worker calls this before a re-dispatched attempt:
-// the coordinator owns retry policy, so a failure memoised by an earlier
-// lease must not short-circuit the retry it ordered.
-func (r *Runner) Forget(cfg sim.Config) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.cache[cfg]; ok {
-		select {
-		case <-e.done:
-			delete(r.cache, cfg)
-			delete(r.failed, cfg)
-		default:
-		}
-	}
 }
 
 // FailureOf returns the recorded (non-cancellation) failure for cfg, if

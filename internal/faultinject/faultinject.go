@@ -59,14 +59,6 @@ const (
 	// telemetry broadcaster; the publisher must keep dropping, never
 	// blocking.
 	TelemetrySlow Point = "telemetry.subscriber.slow"
-	// WorkerKill crashes a fabric worker mid-job: the worker abandons the
-	// leased job without completing or notifying, exactly as a killed
-	// process would, so the coordinator's lease expiry must reassign it.
-	WorkerKill Point = "worker.kill"
-	// LinkPartition drops one coordinator/worker HTTP exchange before any
-	// byte leaves the worker — the network-partition seam. Workers treat
-	// it as a transient failure and retry with backoff.
-	LinkPartition Point = "link.partition"
 	// SnapshotWrite fails a mid-run snapshot write before any byte lands;
 	// the run continues and the previous snapshot (if any) stays live, so
 	// an interrupted job falls back one boundary further.
@@ -134,7 +126,6 @@ var knownPoints = map[Point]bool{
 	StoreWrite: true, StoreTorn: true, StoreFsync: true,
 	JobPanic: true, JobTransient: true, WorkerStall: true,
 	SimStall: true, SimCorrupt: true, TelemetrySlow: true,
-	WorkerKill: true, LinkPartition: true,
 	SnapshotWrite: true, SnapshotRestore: true,
 }
 
@@ -375,45 +366,6 @@ func Generate(seed uint64) Schedule {
 		// once per job start (and per retry), so small ordinals cover it.
 		func() Rule { return Rule{Point: SnapshotWrite, Nth: 1 + r.intn(6), Count: 1} },
 		func() Rule { return Rule{Point: SnapshotRestore, Nth: 1 + r.intn(4), Count: 1} },
-	}
-	n := 1 + r.intn(3)
-	var sched Schedule
-	used := map[Point]bool{}
-	for len(sched) < n {
-		rule := menu[r.intn(len(menu))]()
-		if used[rule.Point] {
-			continue
-		}
-		used[rule.Point] = true
-		sched = append(sched, rule)
-	}
-	sort.Slice(sched, func(i, j int) bool { return sched[i].Point < sched[j].Point })
-	return sched
-}
-
-// GenerateFabric derives a seeded schedule for the distributed-sweep chaos
-// harness (internal/fabric): it covers the wire seams — worker crashes and
-// link partitions — alongside the job, store and run-loop seams that ride
-// inside fabric workers and the coordinator's checkpoint store. Worker
-// kills are capped at one per schedule so a two-worker sweep always keeps
-// a survivor; partitions are transient by construction (workers retry).
-func GenerateFabric(seed uint64) Schedule {
-	r := &rng{s: seed*0x2545F4914F6CDD1D + 0x9E3779B97F4A7C15}
-	r.next() // decorrelate small seeds
-	menu := []func() Rule{
-		// Wire seams.
-		func() Rule { return Rule{Point: WorkerKill, Nth: 1 + r.intn(4), Count: 1} },
-		func() Rule { return Rule{Point: LinkPartition, Nth: 1 + r.intn(6), Count: 1 + r.intn(2)} },
-		// Job seams, firing inside whichever worker leases the job.
-		func() Rule { return Rule{Point: JobPanic, Nth: 1 + r.intn(4), Count: 1} },
-		func() Rule { return Rule{Point: JobTransient, Count: 1 + r.intn(2)} },
-		func() Rule { return Rule{Point: WorkerStall, Nth: 1 + r.intn(3), Count: 1, Dur: 50 * time.Millisecond} },
-		// Store seams, firing at the coordinator's fsync'd ledger.
-		func() Rule { return Rule{Point: StoreWrite, Nth: 1 + r.intn(3), Count: 1} },
-		func() Rule { return Rule{Point: StoreFsync, Nth: 1 + r.intn(3), Count: 1} },
-		func() Rule { return Rule{Point: StoreTorn, Nth: 1 + r.intn(3), Count: 1} },
-		// Run-loop seam inside a worker's simulation.
-		func() Rule { return Rule{Point: SimStall, Nth: 1 + r.intn(8), Count: 1} },
 	}
 	n := 1 + r.intn(3)
 	var sched Schedule

@@ -8,9 +8,9 @@ import (
 
 // DumpDiagnostics writes a point-in-time diagnostic report to w: a tool
 // header, caller-provided status lines, then every goroutine's stack.
-// It is the body of the SIGQUIT handlers in cmd/experiments and
-// cmd/csaltd and deliberately never exits — operators can sample a live
-// run repeatedly without disturbing it.
+// It is the body of the SIGQUIT handler in cmd/experiments and
+// deliberately never exits — operators can sample a live run repeatedly
+// without disturbing it.
 func DumpDiagnostics(w io.Writer, tool string, lines []string) {
 	fmt.Fprintf(w, "=== %s diagnostics (SIGQUIT) ===\n", tool)
 	for _, l := range lines {

@@ -36,7 +36,6 @@ import (
 
 	"github.com/csalt-sim/csalt/internal/checkpoint"
 	"github.com/csalt-sim/csalt/internal/experiment"
-	"github.com/csalt-sim/csalt/internal/fabric"
 	"github.com/csalt-sim/csalt/internal/obs"
 	"github.com/csalt-sim/csalt/internal/sim"
 )
@@ -77,8 +76,6 @@ type Server struct {
 	sources map[*Source]struct{}
 	engine  *experiment.Engine
 	store   *checkpoint.Store
-	fabric  *fabric.Coordinator
-	extra   map[string]http.Handler
 
 	httpSrv *http.Server
 	lis     net.Listener
@@ -127,8 +124,7 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Handler returns the telemetry mux, including any extra handlers
-// registered with Handle before the call.
+// Handler returns the telemetry mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
@@ -137,24 +133,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/runs", s.handleRuns)
-	s.mu.Lock()
-	for pattern, h := range s.extra {
-		mux.Handle(pattern, h)
-	}
-	s.mu.Unlock()
 	return mux
-}
-
-// Handle mounts an additional handler on the telemetry mux — the fabric
-// coordinator's wire protocol rides the same listener this way. Register
-// before Handler or Start builds the mux.
-func (s *Server) Handle(pattern string, h http.Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.extra == nil {
-		s.extra = make(map[string]http.Handler)
-	}
-	s.extra[pattern] = h
 }
 
 // AttachStore exposes a checkpoint store's inventory on /runs.
@@ -281,16 +260,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	eng := s.engine
-	fab := s.fabric
 	srcs := make([]*Source, 0, len(s.sources))
 	for src := range s.sources {
 		srcs = append(srcs, src)
 	}
 	s.mu.Unlock()
-
-	if fab != nil {
-		writeFabricMetrics(pw, fab.Stats())
-	}
 
 	if eng != nil {
 		st := eng.Stats()
@@ -390,12 +364,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // runsResponse is the /runs payload.
 type runsResponse struct {
-	Ready        bool                `json:"ready"`
-	Degraded     string              `json:"degraded,omitempty"`
-	InFlight     []inFlightRun       `json:"in_flight"`
-	Engine       *engineInventory    `json:"engine,omitempty"`
-	Fabric       *fabric.StateReport `json:"fabric,omitempty"`
-	Checkpointed *storedInventory    `json:"checkpointed,omitempty"`
+	Ready        bool             `json:"ready"`
+	Degraded     string           `json:"degraded,omitempty"`
+	InFlight     []inFlightRun    `json:"in_flight"`
+	Engine       *engineInventory `json:"engine,omitempty"`
+	Checkpointed *storedInventory `json:"checkpointed,omitempty"`
 }
 
 type inFlightRun struct {
@@ -427,7 +400,6 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	eng := s.engine
 	store := s.store
-	fab := s.fabric
 	for src := range s.sources {
 		lm := make(map[string]string, len(src.Labels))
 		for _, l := range src.Labels {
@@ -450,10 +422,6 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			JobsFailed: st.JobsFailed, JobsReplayed: st.JobsReplayed, JobsSkipped: st.JobsSkipped,
 			ETASeconds: eng.ETA().Seconds(),
 		}
-	}
-	if fab != nil {
-		report := fab.State()
-		resp.Fabric = &report
 	}
 	if store != nil {
 		resp.Checkpointed = &storedInventory{Count: store.Len(), Keys: store.Keys()}
