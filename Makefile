@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-snapshot fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache equivalence alloc golden-update bench bench-json perfbench-smoke introspect-smoke check
+.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-snapshot fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache fuzz-schedule equivalence alloc golden-update bench bench-json perfbench-smoke introspect-smoke check
 
 # Every test invocation gets a hard -timeout (a wedged test must fail, not
 # hang CI — the same philosophy as the simulator's own watchdogs) and
@@ -88,9 +88,9 @@ fuzz-snapshot:
 	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
 
 # Bounded fuzz pass over the page table against its map-of-maps oracle
-# (internal/pagetable/oracle_test.go): random Map/Lookup/Walk sequences
-# over 4 and 5 levels and 4K/2M pages, with frames on both sides of the
-# 2^38 bound, must agree on every result, error, node count and
+# (internal/pagetable/oracle_test.go): random Map/MapIfAbsent/Lookup/Walk
+# sequences over 4 and 5 levels and 4K/2M pages, with frames on both sides
+# of the 2^38 bound, must agree on every result, error, node count and
 # frame-allocation order. Both engines share the page table, so the
 # engine-equivalence suite cannot catch its bugs. Minimization is bounded
 # because the ops inputs are long: unbounded, it idles the workers for
@@ -107,6 +107,14 @@ fuzz-pagetable:
 # Minimization is bounded because the ops inputs are long.
 fuzz-cache:
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz FuzzCacheLayouts -fuzztime 30s -fuzzminimizetime 50x
+
+# Bounded fuzz pass over the run loop's schedule (internal/sim/
+# schedule_test.go): whole runs of 1-8 cores from input-chosen clocks and
+# reference counts, with retired cores, equal clocks and a single active
+# core, must make every pick, runner-up, batch-exit and warm-up decision the
+# original two-scan rule makes. Its seed corpus runs in plain go test.
+fuzz-schedule:
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSchedule -fuzztime 30s
 
 # Differential-equivalence suite: the curated fig3/fig8-style matrix plus
 # the golden experiment tables, both engines, invariant checks armed.

@@ -133,6 +133,22 @@ func (t *oracleTable) Lookup(v mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 	return 0, 0, false
 }
 
+// lookupThenMap is the two-walk sequence Table.MapIfAbsent replaces:
+// Lookup, then for an unmapped v a frame from alloc and Map.
+func (t *oracleTable) lookupThenMap(v mem.VAddr, size mem.PageSize, alloc func() (mem.PAddr, error)) (mem.PAddr, mem.PageSize, bool, error) {
+	if frame, got, ok := t.Lookup(v); ok {
+		return frame, got, false, nil
+	}
+	frame, err := alloc()
+	if err != nil {
+		return 0, 0, false, err
+	}
+	if err := t.Map(v, frame, size); err != nil {
+		return 0, 0, false, err
+	}
+	return frame, size, true, nil
+}
+
 func (t *oracleTable) Translate(v mem.VAddr) (mem.PAddr, bool) {
 	frame, size, ok := t.Lookup(v)
 	if !ok {
@@ -195,6 +211,19 @@ func (a *recordingAlloc) Alloc4K() (mem.PAddr, error) {
 	return f, nil
 }
 
+// leaf returns a MapIfAbsent frame source that hands out frame. It draws
+// on the node frames' budget and records into the same sequence, so the
+// order of leaf and node allocations is compared too.
+func (a *recordingAlloc) leaf(frame mem.PAddr) func() (mem.PAddr, error) {
+	return func() (mem.PAddr, error) {
+		if len(a.got) >= a.limit {
+			return 0, errors.New("frame budget exhausted")
+		}
+		a.got = append(a.got, frame)
+		return frame, nil
+	}
+}
+
 // spreadIndex maps k in [0, n) onto the low and high ends of a node's
 // 512 slots, so entries at both edges of a frame are exercised.
 func spreadIndex(k, n uint64) uint64 {
@@ -225,11 +254,13 @@ const (
 	fuzzOpBytes = 9
 	fuzzMaxOps  = 256
 
-	fuzzOpMap4K      = 0
-	fuzzOpMap2M      = 1
-	fuzzOpProbe      = 2    // 2 and 3: compare every query at the address
-	fuzzFlagMisalign = 0x10 // Map: frame off its page-size alignment
-	fuzzFlagRepeat   = 0x20 // Map: repeat the previous Map's arguments
+	fuzzOpMap4K       = 0
+	fuzzOpMap2M       = 1
+	fuzzOpProbe       = 2    // compare every query at the address
+	fuzzOpMapIfAbsent = 3    // MapIfAbsent against Lookup then Map
+	fuzzFlagMisalign  = 0x10 // Map, MapIfAbsent: frame off its page-size alignment
+	fuzzFlagRepeat    = 0x20 // Map: repeat the previous Map's arguments
+	fuzzFlag2M        = 0x40 // MapIfAbsent: map a 2M page
 )
 
 func fuzzOp(op byte, r, frame uint32) []byte {
@@ -254,13 +285,15 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// FuzzTableOracle drives random Map/Lookup/Translate/Walk sequences
-// through the PTE-store table and the map-of-maps oracle over 4 and 5
-// levels and 4K/2M pages, each fed by its own identical allocator (high:
-// one counting up across 2^38), and requires them to agree on every
+// FuzzTableOracle drives random Map/MapIfAbsent/Lookup/Translate/Walk
+// sequences through the PTE-store table and the map-of-maps oracle over 4
+// and 5 levels and 4K/2M pages, each fed by its own identical allocator
+// (high: one counting up across 2^38), and requires them to agree on every
 // result, step list and error, on NodeCount, on MappedPages and on the
-// frame-allocation sequence. The seed corpus runs in every `go test`;
-// `make fuzz-pagetable` explores further.
+// frame-allocation sequence. MapIfAbsent is checked against the oracle's
+// Lookup then Map, its leaf frame drawn in the allocation sequence. The
+// seed corpus runs in every `go test`; `make fuzz-pagetable` explores
+// further.
 func FuzzTableOracle(f *testing.F) {
 	const (
 		r0       = 0           // VA 0: every index 0, so PTE address 0 is touched
@@ -313,10 +346,32 @@ func FuzzTableOracle(f *testing.F) {
 		f.Add(five, uint8(3), false, mixed) // budget runs out part-way through a Map
 		f.Add(five, uint8(0), false, mixed) // New itself fails
 	}
+	absent := fuzzOps(
+		fuzzOp(fuzzOpMapIfAbsent, rA, frameA),                     // leaf frame, then its nodes
+		fuzzOp(fuzzOpMapIfAbsent, rA, frameB),                     // mapped: no frame drawn
+		fuzzOp(fuzzOpMapIfAbsent, rB, frameB),                     // nodes already there
+		fuzzOp(fuzzOpMapIfAbsent|fuzzFlag2M, rA, hugeSlot),        // finds rA's 4K leaf
+		fuzzOp(fuzzOpMapIfAbsent|fuzzFlag2M, rA&^0xf00, hugeSlot), // 2M over a populated L1 node
+		fuzzOp(fuzzOpMapIfAbsent|fuzzFlag2M, rHuge, hugeSlot),
+		fuzzOp(fuzzOpMapIfAbsent, rHuge|0x700, frameA), // finds the 2M leaf
+		fuzzOp(fuzzOpProbe, rHuge|0xabc000, 0),
+		fuzzOp(fuzzOpMapIfAbsent|fuzzFlag2M|fuzzFlagMisalign, rFar, hugeSlot),
+		fuzzOp(fuzzOpMapIfAbsent, rFar, limit4K), // rejected after the draw
+		fuzzOp(fuzzOpMapIfAbsent, rFar, top4K),
+		fuzzOp(fuzzOpProbe, rFar, 0),
+		fuzzOp(fuzzOpMap4K, rFar|0x100, frameB),
+		fuzzOp(fuzzOpMapIfAbsent, rFar|0x100, frameA), // mapped by Map
+		fuzzOp(fuzzOpProbe, rFar|0x100, 0),
+	)
 	for _, five := range []bool{false, true} {
 		f.Add(five, uint8(255), false, bound)
 		f.Add(five, uint8(8), true, mixed) // the fifth node frame is 2^38
 		f.Add(five, uint8(1), true, mixed) // the root frame is 2^38
+	}
+	for _, five := range []bool{false, true} {
+		f.Add(five, uint8(255), false, absent)
+		f.Add(five, uint8(3), false, absent) // budget runs out part-way through a MapIfAbsent
+		f.Add(five, uint8(6), true, absent)
 	}
 	f.Fuzz(func(t *testing.T, five bool, budget uint8, high bool, ops []byte) {
 		levels := 4
@@ -392,6 +447,21 @@ func FuzzTableOracle(f *testing.F) {
 				gerr, werr := got.Map(v, frame, size), want.Map(v, frame, size)
 				if errString(gerr) != errString(werr) {
 					t.Fatalf("%s: Map(%#x, %s) err %v, oracle %v", what, frame, size, gerr, werr)
+				}
+			case fuzzOpMapIfAbsent:
+				size := mem.Page4K
+				if op&fuzzFlag2M != 0 {
+					size = mem.Page2M
+				}
+				frame := mem.PAddr(fr << size.Shift())
+				if op&fuzzFlagMisalign != 0 {
+					frame += 0x800
+				}
+				gf, gs, gnew, gerr := got.MapIfAbsent(v, size, gotA.leaf(frame))
+				wf, ws, wnew, werr := want.lookupThenMap(v, size, wantA.leaf(frame))
+				if gf != wf || gs != ws || gnew != wnew || errString(gerr) != errString(werr) {
+					t.Fatalf("%s: MapIfAbsent(%#x, %s) = %#x,%v,%v,%v, oracle %#x,%v,%v,%v",
+						what, frame, size, gf, gs, gnew, gerr, wf, ws, wnew, werr)
 				}
 			default:
 				compareAt(what, v)

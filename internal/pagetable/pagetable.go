@@ -206,6 +206,55 @@ func (t *Table) Map(v mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
 	return nil
 }
 
+// MapIfAbsent is Lookup followed, when v is unmapped, by Map of v's page
+// to a frame from alloc, in one walk. It returns the leaf that translates
+// v, its page size, and whether this call installed it; a mapped v leaves
+// alloc uncalled. alloc runs once the walk has found v unmapped and before
+// any node is allocated on its path, so the frame and the new nodes are
+// allocated in the same order as by Lookup then Map. An error is alloc's
+// or the one Map would return.
+func (t *Table) MapIfAbsent(v mem.VAddr, size mem.PageSize, alloc func() (mem.PAddr, error)) (mem.PAddr, mem.PageSize, bool, error) {
+	node := t.root
+	level := t.levels
+	var pte mem.PAddr
+	for ; level >= 1; level-- {
+		pte = pteAddr(node, v, level)
+		w := t.ptes.get(pte)
+		if w == 0 {
+			break
+		}
+		if w&pteLeaf != 0 {
+			return wordFrame(w), wordSize(w), false, nil
+		}
+		node = wordFrame(w)
+	}
+	frame, err := alloc()
+	if err != nil {
+		return 0, 0, false, err
+	}
+	stop := leafLevel(size)
+	if level < stop || uint64(frame)&(size.Bytes()-1) != 0 || frame >= physLimit {
+		// The page's leaf entry holds a node (a 2M page over a populated
+		// level-1 node), or the frame is one Map refuses: Map reports it.
+		return 0, 0, false, t.Map(v, frame, size)
+	}
+	for ; level > stop; level-- {
+		child, err := t.newNode()
+		if err != nil {
+			return 0, 0, false, err
+		}
+		t.ptes.insert(pte, uint64(child)|ptePresent)
+		pte = pteAddr(child, v, level-1)
+	}
+	t.ptes.insert(pte, leafWord(frame, size))
+	if size == mem.Page2M {
+		t.mapped2M++
+	} else {
+		t.mapped4K++
+	}
+	return frame, size, true, nil
+}
+
 // Lookup translates v without recording steps. It returns the mapped
 // frame, the page size, and whether a mapping exists.
 func (t *Table) Lookup(v mem.VAddr) (mem.PAddr, mem.PageSize, bool) {

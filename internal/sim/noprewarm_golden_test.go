@@ -11,7 +11,8 @@ import (
 	"testing"
 )
 
-type noPrewarmShape struct {
+// goldenShape is one configuration a digest golden pins.
+type goldenShape struct {
 	name string
 	cfg  Config
 }
@@ -21,8 +22,8 @@ type noPrewarmShape struct {
 // 2 MB granularity. For a native VM the granule is the data page size
 // (HugePages); for a virtualized VM it is the EPT backing (EPT4K off =
 // 2 MB EPT mappings).
-func noPrewarmShapes() []noPrewarmShape {
-	var out []noPrewarmShape
+func noPrewarmShapes() []goldenShape {
+	var out []goldenShape
 	orgs := []struct {
 		name string
 		org  TranslationOrg
@@ -44,7 +45,7 @@ func noPrewarmShapes() []noPrewarmShape {
 				if huge {
 					size = "2M"
 				}
-				out = append(out, noPrewarmShape{fmt.Sprintf("%s/%s/%s", o.name, mode, size), cfg})
+				out = append(out, goldenShape{fmt.Sprintf("%s/%s/%s", o.name, mode, size), cfg})
 			}
 		}
 	}
@@ -72,6 +73,43 @@ func resultsDigest(t *testing.T, cfg Config, engine string) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// goldenDigests runs every shape on both engines, requires the two to
+// agree, and returns one "name digest" line per shape.
+func goldenDigests(t *testing.T, shapes []goldenShape) string {
+	t.Helper()
+	var got strings.Builder
+	for _, sh := range shapes {
+		fast := resultsDigest(t, sh.cfg, EngineFast)
+		ref := resultsDigest(t, sh.cfg, EngineReference)
+		if fast != ref {
+			t.Errorf("%s: engines diverged: fast %s, reference %s", sh.name, fast, ref)
+		}
+		fmt.Fprintf(&got, "%s %s\n", sh.name, fast)
+	}
+	return got.String()
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file when -update is set.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("Results drifted from %s (re-run with -update if intended)\n--- want ---\n%s--- got ---\n%s",
+			path, want, got)
+	}
+}
+
 // TestNoPrewarmGolden pins the Results of the demand-mapped (NoPrewarm)
 // matrix on both engines. Without prewarm every page is mapped by a soft
 // fault on first touch, so the frame-allocation order — and with it every
@@ -85,29 +123,5 @@ func TestNoPrewarmGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24 tiny simulations")
 	}
-	golden := filepath.Join("testdata", "no_prewarm.golden")
-	var got strings.Builder
-	for _, sh := range noPrewarmShapes() {
-		fast := resultsDigest(t, sh.cfg, EngineFast)
-		ref := resultsDigest(t, sh.cfg, EngineReference)
-		if fast != ref {
-			t.Errorf("%s: engines diverged: fast %s, reference %s", sh.name, fast, ref)
-		}
-		fmt.Fprintf(&got, "%s %s\n", sh.name, fast)
-	}
-	if *update {
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if got.String() != string(want) {
-		t.Errorf("NoPrewarm Results drifted from %s (re-run with -update if intended)\n--- want ---\n%s--- got ---\n%s",
-			golden, want, got.String())
-	}
+	checkGolden(t, filepath.Join("testdata", "no_prewarm.golden"), goldenDigests(t, noPrewarmShapes()))
 }

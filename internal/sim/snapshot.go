@@ -17,10 +17,12 @@ import (
 // A snapshot is taken at a run-loop poll boundary (every checkEvery steps),
 // which is schedule-safe by construction: the boundary sits at the top of
 // the batch loop, before the next Step, at a point where the batched core
-// is still the min-cycle pick a fresh scan would make — the batch loop's
-// break condition is exactly the rescan comparison. A restored run
-// therefore re-enters RunContext, scans, and picks the same core the
-// interrupted run was about to step.
+// is still the min-clock pick over all cores — the batch goes on only
+// while its core's clock stays below the runner-up's (or level with it at
+// a lower index). The snapshot holds no schedule state: the clock array
+// and the warm-up count are rebuilt from the cores at every entry to
+// RunContext. A restored run therefore re-enters RunContext, rebuilds
+// them, and picks the same core the interrupted run was about to step.
 //
 // Restore is reconstruction plus overlay. sim.New is deterministic given
 // the Config (prewarm order, allocator layout, POM/TSB placement), so

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"path/filepath"
 	"sync/atomic"
 
@@ -179,38 +180,16 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 		s.takeSnaps()
 	}
 
+	// Cores step min-clock-first, the lowest index winning ties. The first
+	// pick is the smallest clock of all. A batch then steps that core
+	// until it loses the turn to the runner-up; no other clock moves
+	// meanwhile, so the runner-up is the next pick, and each batch costs
+	// one pass over the clock array to find the next runner-up.
+	sc := newSchedule(s.cores, target, warm)
 	var sinceCheck int
-	for {
-		// Pick the active core with the smallest clock; the scan's strict <
-		// comparison makes the lowest index win ties.
-		var next *cpu.Core
-		nextIdx := -1
-		for i, c := range s.cores {
-			if c.Stats.MemRefs.Value() >= target {
-				continue
-			}
-			if next == nil || c.Cycle() < next.Cycle() {
-				next, nextIdx = c, i
-			}
-		}
-		if next == nil {
-			break
-		}
-		// Batch: other cores' clocks cannot advance while next is stepped,
-		// so next stays the reference schedule's pick — no re-scan needed —
-		// until its clock passes the best other core (or reaches it with a
-		// higher index, which would lose the tie).
-		minOther := ^uint64(0)
-		minOtherIdx := -1
-		haveOther := false
-		for i, c := range s.cores {
-			if i == nextIdx || c.Stats.MemRefs.Value() >= target {
-				continue
-			}
-			if cy := c.Cycle(); !haveOther || cy < minOther {
-				minOther, minOtherIdx, haveOther = cy, i, true
-			}
-		}
+	for ni, _ := sc.runnerUp(-1); ni >= 0; {
+		other, otherClock := sc.runnerUp(ni)
+		next := s.cores[ni]
 		for {
 			sinceCheck++
 			if sinceCheck >= checkEvery {
@@ -234,10 +213,11 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 					return nil, err
 				}
 				if s.snapSink != nil {
-					// The poll boundary is schedule-safe: a fresh core scan
-					// after restore picks the same next core the batch loop
-					// would have (see snapshot.go), so nothing about taking a
-					// snapshot here perturbs the simulated schedule.
+					// The poll boundary is schedule-safe: the clock array
+					// rebuilt at entry after a restore picks the same next
+					// core the batch loop would have (see snapshot.go), so
+					// nothing about taking a snapshot here perturbs the
+					// simulated schedule.
 					stop := s.snapStop.Load()
 					s.sinceSnap += checkEvery
 					if stop || s.sinceSnap >= s.snapEvery {
@@ -272,40 +252,27 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 					s.phaseSample()
 				}
 			}
-			if !s.warmed {
-				crossed := true
-				for _, c := range s.cores {
-					if c.Stats.MemRefs.Value() < warm {
-						crossed = false
-						break
-					}
+			keep := sc.stepped(ni, next, other, otherClock)
+			if !s.warmed && sc.reached == len(s.cores) {
+				s.warmed = true
+				s.mem.resetStats()
+				if s.intro != nil {
+					// The component counters under the probes just
+					// reset; measured attribution resets with them.
+					s.intro.ResetMeasured()
 				}
-				if crossed {
-					s.warmed = true
-					s.mem.resetStats()
-					if s.intro != nil {
-						// The component counters under the probes just
-						// reset; measured attribution resets with them.
-						s.intro.ResetMeasured()
-					}
-					s.takeSnaps()
-					if s.obs != nil && s.obs.Sampler != nil {
-						// The reset zeroed the counters under the sampler's
-						// baseline; re-anchor so the next delta is not negative.
-						s.captureBase()
-					}
+				s.takeSnaps()
+				if s.obs != nil && s.obs.Sampler != nil {
+					// The reset zeroed the counters under the sampler's
+					// baseline; re-anchor so the next delta is not negative.
+					s.captureBase()
 				}
 			}
-			if next.Stats.MemRefs.Value() >= target {
+			if !keep {
 				break
 			}
-			if haveOther {
-				cy := next.Cycle()
-				if cy > minOther || (cy == minOther && nextIdx > minOtherIdx) {
-					break
-				}
-			}
 		}
+		ni = other
 	}
 	for _, c := range s.cores {
 		c.Drain()
@@ -317,6 +284,75 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 		return nil, err
 	}
 	return s.collect(), nil
+}
+
+// retiredClock fills the clock slot of a core that has retired its
+// MaxRefsPerCore references. No running core's clock reaches 2^64-1, so a
+// retired core is never picked.
+const retiredClock = ^uint64(0)
+
+// schedule is the run loop's view of the cores: a packed copy of their
+// clocks, one slot per core, and how many cores have reached the warm-up
+// boundary. RunContext rebuilds it from the cores at every entry, since
+// perfbench swaps cores in after New and a restored snapshot re-enters
+// with advanced clocks; after that only the stepped core's slot changes.
+type schedule struct {
+	clocks       []uint64
+	target, warm uint64 // MaxRefsPerCore, WarmupRefs
+	reached      int    // cores whose MemRefs have reached warm
+}
+
+func newSchedule(cores []*cpu.Core, target, warm uint64) schedule {
+	sc := schedule{clocks: make([]uint64, len(cores)), target: target, warm: warm}
+	for i, c := range cores {
+		sc.clocks[i] = sc.clock(c)
+		if c.Stats.MemRefs.Value() >= warm {
+			sc.reached++
+		}
+	}
+	return sc
+}
+
+// clock is c's slot: its cycle, or retiredClock once it has retired.
+func (sc *schedule) clock(c *cpu.Core) uint64 {
+	if c.Stats.MemRefs.Value() >= sc.target {
+		return retiredClock
+	}
+	return c.Cycle()
+}
+
+// runnerUp returns the core with the smallest clock other than skip, and
+// that clock. Strict < makes the lowest index win ties. It returns -1 and
+// retiredClock if every core but skip has retired.
+func (sc *schedule) runnerUp(skip int) (int, uint64) {
+	bi, best := -1, retiredClock
+	for i, cy := range sc.clocks {
+		if i == skip {
+			cy = retiredClock
+		}
+		// Which core holds the minimum changes too irregularly from one
+		// pass to the next for a branch to predict, so select without
+		// one: lower is all ones when cy < best (the borrow of cy - best)
+		// and zero otherwise.
+		_, borrow := bits.Sub64(cy, best, 0)
+		lower := -borrow
+		best ^= (best ^ cy) & lower
+		bi ^= (bi ^ i) & int(lower)
+	}
+	return bi, best
+}
+
+// stepped refreshes core i's slot after c, core i, retired one reference,
+// and reports whether i keeps the turn against the runner-up other, at
+// otherClock: its clock is below the runner-up's, or level with it at a
+// lower index. A retired core never keeps it.
+func (sc *schedule) stepped(i int, c *cpu.Core, other int, otherClock uint64) bool {
+	if c.Stats.MemRefs.Value() == sc.warm {
+		sc.reached++
+	}
+	cy := sc.clock(c)
+	sc.clocks[i] = cy
+	return cy < otherClock || cy == otherClock && i < other
 }
 
 // takeSnaps records per-core counters at the measurement start.

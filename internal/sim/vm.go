@@ -114,43 +114,26 @@ func (pm pageMapping) guestPage(v mem.VAddr) mem.PAddr {
 // it installed; an already-mapped page returns false and a zero mapping
 // (resolve walks the tables for it). It runs in memSystem.walk, just
 // before every table walk, and at set-up for prewarm and fault-log replay;
-// both engines share this one mapping path.
+// both engines share this one mapping path. Each table is walked once per
+// call: MapIfAbsent finds a mapped page or maps a new one in the same walk.
 func (vm *vmState) ensureMapped(v mem.VAddr) (pageMapping, bool, error) {
-	if _, _, ok := vm.space.Guest.Lookup(v); ok {
-		return pageMapping{}, false, nil
-	}
 	if !vm.space.Virtualized() {
+		size, alloc := mem.Page4K, vm.hostA.Alloc4K
 		if vm.hugePages {
-			base := v &^ (mem.PageSize2M - 1)
-			hpa, err := vm.hostA.Alloc2M()
-			if err != nil {
-				return pageMapping{}, false, err
-			}
-			if err := vm.space.Guest.Map(base, hpa, mem.Page2M); err != nil {
-				return pageMapping{}, false, err
-			}
-			vm.touchedPages += mem.PageSize2M / mem.PageSize4K
-			pm := pageMapping{leaf: hpa, size: mem.Page2M}
-			pm.hpa = pm.guestPage(v)
-			return pm, true, nil
+			size, alloc = mem.Page2M, vm.hostA.Alloc2M
 		}
-		hpa, err := vm.hostA.Alloc4K()
-		if err != nil {
+		hpa, _, created, err := vm.space.Guest.MapIfAbsent(v, size, alloc)
+		if err != nil || !created {
 			return pageMapping{}, false, err
 		}
-		if err := vm.space.Guest.Map(v&^(mem.PageSize4K-1), hpa, mem.Page4K); err != nil {
-			return pageMapping{}, false, err
-		}
-		vm.touchedPages++
-		return pageMapping{leaf: hpa, size: mem.Page4K, hpa: hpa}, true, nil
+		vm.touchedPages += size.Bytes() / mem.PageSize4K
+		pm := pageMapping{leaf: hpa, size: size}
+		pm.hpa = pm.guestPage(v)
+		return pm, true, nil
 	}
 
-	page := v &^ (mem.PageSize4K - 1)
-	gpa, err := vm.gDataA.Alloc4K()
-	if err != nil {
-		return pageMapping{}, false, err
-	}
-	if err := vm.space.Guest.Map(page, gpa, mem.Page4K); err != nil {
+	gpa, _, created, err := vm.space.Guest.MapIfAbsent(v, mem.Page4K, vm.gDataA.Alloc4K)
+	if err != nil || !created {
 		return pageMapping{}, false, err
 	}
 	// The hypervisor backs guest-physical data with 2 MB EPT mappings, as
@@ -170,14 +153,9 @@ func (vm *vmState) ensureMapped(v mem.VAddr) (pageMapping, bool, error) {
 		return pageMapping{leaf: gpa, size: mem.Page4K, hpa: hpa}, true, nil
 	}
 	region := mem.VAddr(gpa) &^ (mem.PageSize2M - 1)
-	hRegion, _, ok := vm.space.Host.Lookup(region)
-	if !ok {
-		if hRegion, err = vm.hostA.Alloc2M(); err != nil {
-			return pageMapping{}, false, err
-		}
-		if err := vm.space.Host.Map(region, hRegion, mem.Page2M); err != nil {
-			return pageMapping{}, false, err
-		}
+	hRegion, _, _, err := vm.space.Host.MapIfAbsent(region, mem.Page2M, vm.hostA.Alloc2M)
+	if err != nil {
+		return pageMapping{}, false, err
 	}
 	vm.touchedPages++
 	return pageMapping{leaf: gpa, size: mem.Page4K, hpa: hRegion + (gpa - mem.PAddr(region))}, true, nil
