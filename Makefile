@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-short race race-short race-fault race-telemetry race-chaos race-snapshot fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache fuzz-schedule equivalence alloc golden-update bench bench-json perfbench-smoke introspect-smoke check
+.PHONY: build vet test test-short race race-short race-fault race-chaos race-snapshot fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache fuzz-schedule equivalence alloc golden-update bench bench-json perfbench-smoke introspect-smoke check
 
 # Every test invocation gets a hard -timeout (a wedged test must fail, not
 # hang CI — the same philosophy as the simulator's own watchdogs) and
@@ -43,12 +43,6 @@ race-fault:
 	$(GO) test $(TESTFLAGS) -race \
 		-run 'Cancel|Panic|Timeout|Transient|Resume|KeepGoing|FailFast|Concurrent|Singleflight|Watchdog|Torn' \
 		./internal/experiment/ ./internal/checkpoint/ ./internal/sim/
-
-# Race coverage of the live telemetry plane: 8 concurrent scrapers against
-# a live sweep (TestConcurrentScrapersDuringSweep), the SSE broadcaster,
-# and the snapshot-publishing exposition path.
-race-telemetry:
-	$(GO) test $(TESTFLAGS) -race ./internal/telemetry/ ./internal/obs/
 
 # Race coverage of the fault-injection plane: the chaos determinism test
 # (same seed + schedule must reproduce the identical firing sequence and
@@ -166,4 +160,4 @@ perfbench-smoke:
 	echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -q '"failed":0[,}]' || \
 		{ echo "perfbench-smoke: the run was not correct or had failed checks" >&2; exit 1; }
 
-check: build vet test alloc race-short race-fault race-telemetry race-chaos race-snapshot introspect-smoke
+check: build vet test alloc race-short race-fault race-chaos race-snapshot introspect-smoke

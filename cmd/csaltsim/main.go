@@ -78,7 +78,7 @@ func main() {
 	registerObsFlags(&of)
 	flag.Parse()
 
-	prof, err := obs.StartProfiling(of.pprofAddr, of.cpuProfile, of.memProfile)
+	prof, err := obs.StartProfiling(of.cpuProfile, of.memProfile)
 	if err != nil {
 		usageFail("profiling: %v", err)
 	}

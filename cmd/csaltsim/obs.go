@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -14,7 +13,6 @@ import (
 	"github.com/csalt-sim/csalt/internal/introspect"
 	"github.com/csalt-sim/csalt/internal/obs"
 	"github.com/csalt-sim/csalt/internal/sim"
-	"github.com/csalt-sim/csalt/internal/telemetry"
 )
 
 // obsFlags groups the observability and profiling flags; see
@@ -29,8 +27,6 @@ type obsFlags struct {
 	epochCap    int
 	attrOut     string
 	heatmapCSV  string
-	listen      string
-	pprofAddr   string
 	cpuProfile  string
 	memProfile  string
 }
@@ -43,20 +39,17 @@ func registerObsFlags(f *obsFlags) {
 	flag.StringVar(&f.epochCSV, "epoch-csv", "", "write the epoch time-series (CSV) to this file ('-' for stdout)")
 	flag.StringVar(&f.attrOut, "attr-out", "", "attach the cycle/miss-attribution plane and write its report (JSON) to this file ('-' for stdout)")
 	flag.StringVar(&f.heatmapCSV, "heatmap-csv", "", "write the attribution plane's per-set occupancy/contention heatmaps (CSV) to this file ('-' for stdout)")
-	flag.StringVar(&f.listen, "listen", "", "serve the live telemetry plane on this address (e.g. localhost:9100): /metrics /healthz /readyz /events /runs")
 	flag.Uint64Var(&f.epochEvery, "epoch-every", 0, "memory references between epoch samples (0 = auto from run length)")
 	flag.IntVar(&f.epochCap, "epoch-cap", 0, "epoch sample buffer capacity before downsampling (0 = default)")
-	flag.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	flag.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&f.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 }
 
 // observed reports whether any per-run observability output was requested
-// (profiling alone does not change the execution path). -listen forces the
-// observed path: live telemetry needs an observer on every system.
+// (profiling alone does not change the execution path).
 func (f *obsFlags) observed() bool {
 	return f.metricsOut != "" || f.traceOut != "" || f.epochCSV != "" ||
-		f.attrOut != "" || f.heatmapCSV != "" || f.listen != ""
+		f.attrOut != "" || f.heatmapCSV != ""
 }
 
 // suffixPath inserts a mix suffix before the path's extension:
@@ -94,28 +87,13 @@ func runObserved(ctx context.Context, cfgs []csalt.Config, f *obsFlags, stallLim
 		return nil, err
 	}
 
-	// Opt-in live telemetry: every run's registry is scraped on /metrics
-	// while it executes, epoch samples stream over /events, and a stall
-	// watchdog failure degrades /healthz.
-	var tel *telemetry.Server
-	if f.listen != "" {
-		tel, err = telemetry.Start(f.listen)
-		if err != nil {
-			return nil, err
-		}
-		defer tel.Close()
-		// The configuration list is already primed when we get here.
-		tel.Health.SetReady(true)
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/{metrics,healthz,readyz,events,runs}\n", tel.Addr())
-	}
-
 	many := len(cfgs) > 1
 	results := make([]*csalt.Results, len(cfgs))
 	for i, cfg := range cfgs {
 		if ctx.Err() != nil {
 			return results, fmt.Errorf("observed run interrupted: %w", context.Cause(ctx))
 		}
-		res, err := runOneObserved(ctx, cfg, f, format, mask, many, stallLimit, check, tel)
+		res, err := runOneObserved(ctx, cfg, f, format, mask, many, stallLimit, check)
 		if err != nil {
 			return results, fmt.Errorf("mix %s: %w", cfg.Mix.ID, err)
 		}
@@ -124,7 +102,7 @@ func runObserved(ctx context.Context, cfgs []csalt.Config, f *obsFlags, stallLim
 	return results, nil
 }
 
-func runOneObserved(ctx context.Context, cfg csalt.Config, f *obsFlags, format obs.Format, mask obs.EventMask, many bool, stallLimit uint64, check bool, tel *telemetry.Server) (*csalt.Results, error) {
+func runOneObserved(ctx context.Context, cfg csalt.Config, f *obsFlags, format obs.Format, mask obs.EventMask, many bool, stallLimit uint64, check bool) (*csalt.Results, error) {
 	sys, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
@@ -147,10 +125,10 @@ func runOneObserved(ctx context.Context, cfg csalt.Config, f *obsFlags, format o
 		defer traceFile.Close()
 		o.Tracer = obs.NewTracer(traceFile, format, mask)
 	}
-	if f.metricsOut != "" || tel != nil {
+	if f.metricsOut != "" {
 		o.Registry = obs.NewRegistry()
 	}
-	if f.epochCSV != "" || tel != nil {
+	if f.epochCSV != "" {
 		o.Sampler = obs.NewSampler(sim.SamplerColumns(), f.epochCap)
 	}
 	sys.AttachObserver(o)
@@ -163,19 +141,7 @@ func runOneObserved(ctx context.Context, cfg csalt.Config, f *obsFlags, format o
 		sys.AttachIntrospection(plane)
 	}
 
-	if tel != nil {
-		release := tel.AddSystem(sys, o)
-		defer release()
-	}
-
 	res, runErr := sys.RunContext(ctx)
-	if tel != nil && runErr != nil {
-		var stall *sim.StallError
-		if errors.As(runErr, &stall) {
-			tel.Health.Degrade(fmt.Sprintf("stall watchdog fired on mix %s: no retirement for %d cycles",
-				cfg.Mix.ID, stall.Cycle-stall.LastProgress))
-		}
-	}
 
 	// Flush artifacts even when the run was cut short: the events, metrics
 	// and epoch samples up to the cancellation point are already in the
@@ -186,13 +152,13 @@ func runOneObserved(ctx context.Context, cfg csalt.Config, f *obsFlags, format o
 		}
 	}
 	if f.metricsOut != "" {
-		if err := writeMetrics(o.Registry.Snapshot(), outPath(f.metricsOut, cfg.Mix.ID, many)); err != nil && runErr == nil {
-			return nil, err
+		if err := writeTo(outPath(f.metricsOut, cfg.Mix.ID, many), o.Registry.Snapshot().WriteJSON); err != nil && runErr == nil {
+			return nil, fmt.Errorf("writing metrics: %w", err)
 		}
 	}
 	if f.epochCSV != "" {
-		if err := writeEpochCSV(o.Sampler, outPath(f.epochCSV, cfg.Mix.ID, many)); err != nil && runErr == nil {
-			return nil, err
+		if err := writeTo(outPath(f.epochCSV, cfg.Mix.ID, many), o.Sampler.WriteCSV); err != nil && runErr == nil {
+			return nil, fmt.Errorf("writing epoch CSV: %w", err)
 		}
 	}
 	if f.attrOut != "" {
@@ -233,35 +199,4 @@ func createFile(path string) (*os.File, error) {
 		}
 	}
 	return os.Create(path)
-}
-
-// writeEpochCSV flushes the sampler's series to path ('-' for stdout).
-func writeEpochCSV(s *obs.Sampler, path string) error {
-	if path == "-" {
-		return s.WriteCSV(os.Stdout)
-	}
-	out, err := createFile(path)
-	if err != nil {
-		return err
-	}
-	if err := s.WriteCSV(out); err != nil {
-		out.Close()
-		return fmt.Errorf("writing epoch CSV: %w", err)
-	}
-	return out.Close()
-}
-
-func writeMetrics(snap obs.Snapshot, path string) error {
-	if path == "-" {
-		return snap.WriteJSON(os.Stdout)
-	}
-	out, err := createFile(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteJSON(out); err != nil {
-		out.Close()
-		return fmt.Errorf("writing metrics: %w", err)
-	}
-	return out.Close()
 }

@@ -68,7 +68,6 @@ import (
 	"github.com/csalt-sim/csalt/internal/obs"
 	"github.com/csalt-sim/csalt/internal/sim"
 	"github.com/csalt-sim/csalt/internal/snapshot"
-	"github.com/csalt-sim/csalt/internal/telemetry"
 )
 
 // Exit codes: usage/config errors are distinguishable from simulation
@@ -109,14 +108,12 @@ func main() {
 		attrOut     = flag.String("attr-out", "", "attach the cycle/miss-attribution plane to every simulation and write per-configuration reports (JSON) into this directory")
 		heatmapCSV  = flag.String("heatmap-csv", "", "write each simulation's per-set occupancy/contention heatmaps (CSV) into this directory")
 		fsck        = flag.Bool("fsck", false, "check the -results-dir store: report and repair a torn tail (crash mid-append) and compact duplicate records")
-		listen      = flag.String("listen", "", "serve the live telemetry plane on this address (e.g. localhost:9100): /metrics /healthz /readyz /events /runs")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 
-	prof, err := obs.StartProfiling(*pprofAddr, *cpuProfile, *memProfile)
+	prof, err := obs.StartProfiling(*cpuProfile, *memProfile)
 	if err != nil {
 		usageFail("profiling: %v", err)
 	}
@@ -251,27 +248,8 @@ func main() {
 	rep := newReporter(os.Stderr, *quiet)
 	eng.Progress = rep.progress
 
-	// Opt-in live telemetry: Prometheus exposition, health/readiness, SSE
-	// progress and the run inventory, all fed from the engine and runner
-	// without perturbing the simulations (see OBSERVABILITY.md).
-	var tel *telemetry.Server
-	if *listen != "" {
-		tel, err = telemetry.Start(*listen)
-		if err != nil {
-			usageFail("%v", err)
-		}
-		defer tel.Close()
-		tel.AttachEngine(eng)
-		tel.AttachRunner(eng.Runner)
-		tel.Events.SetChaos(plane)
-		if store != nil {
-			tel.AttachStore(store)
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/{metrics,healthz,readyz,events,runs}\n", tel.Addr())
-	}
-
-	// Opt-in attribution: chain onto any Observe hooks telemetry installed
-	// so the plane attaches after the observer on every system.
+	// Opt-in attribution: an introspection plane on every simulated system,
+	// its report and heatmaps written as each run finishes.
 	if *attrOut != "" || *heatmapCSV != "" {
 		if err := attachAttribution(eng.Runner, *attrOut, *heatmapCSV); err != nil {
 			usageFail("%v", err)
@@ -300,10 +278,6 @@ func main() {
 	// simulated once, and the pool keeps every worker busy across
 	// experiment boundaries.
 	jobs := eng.Jobs(todo...)
-	if tel != nil {
-		// The queue is primed: flip readiness for scrapers and orchestrators.
-		tel.Health.SetReady(true)
-	}
 	start := time.Now()
 	execErr := eng.ExecuteContext(ctx, jobs)
 	rep.clear()
@@ -504,17 +478,10 @@ func attachAttribution(r *experiment.Runner, attrDir, heatDir string) error {
 			}
 		}
 	}
-	prevObserve, prevDone := r.Observe, r.ObserveDone
 	r.Observe = func(sys *sim.System) {
-		if prevObserve != nil {
-			prevObserve(sys)
-		}
 		sys.AttachIntrospection(introspect.NewPlane(introspect.Config{Cores: sys.Config().Cores}))
 	}
 	r.ObserveDone = func(sys *sim.System) {
-		if prevDone != nil {
-			defer prevDone(sys)
-		}
 		p := sys.Introspection()
 		if p == nil {
 			return

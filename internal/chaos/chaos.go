@@ -25,7 +25,6 @@ import (
 	"github.com/csalt-sim/csalt/internal/faultinject"
 	"github.com/csalt-sim/csalt/internal/invariant"
 	"github.com/csalt-sim/csalt/internal/sim"
-	"github.com/csalt-sim/csalt/internal/telemetry"
 )
 
 // MicroScale is the sweep's fidelity level: single-core, seconds-fast
@@ -105,6 +104,12 @@ type RunReport struct {
 	Points   []string // distinct points that fired, sorted
 	TornTail bool     // resume found (and truncated) a torn store tail
 	Dir      string   // per-run store dir (only set with Options.Keep)
+
+	// The chaos phase's runner counters, so a point whose expected
+	// outcome is clean can be checked for its effect, not only for
+	// having fired.
+	Simulations           int // simulations started, retries included (Runner.NumRuns)
+	SnapshotWriteFailures int // mid-run snapshot writes that failed (Runner.SnapshotWriteFailures)
 }
 
 // SweepReport aggregates a sweep.
@@ -250,7 +255,7 @@ func runOne(ctx context.Context, opts Options, exp experiment.Experiment,
 		run.Dir = dir
 	}
 
-	chaosErr, err := chaosRun(ctx, opts, exp, dir, plane, golden)
+	chaosErr, err := chaosRun(ctx, opts, exp, dir, plane, golden, run)
 	run.Firings = plane.Fired()
 	run.Log = plane.LogString()
 	run.Points = firedPoints(plane)
@@ -309,11 +314,12 @@ func runOne(ctx context.Context, opts Options, exp experiment.Experiment,
 	return run, nil
 }
 
-// chaosRun executes the experiment with every seam wired to the plane.
-// The returned chaosErr is the sweep's (expected) failure; err reports
-// harness problems only. A successful run must already match golden.
+// chaosRun executes the experiment with every seam wired to the plane and
+// records the runner's counters in run. The returned chaosErr is the
+// sweep's (expected) failure; err reports harness problems only. A
+// successful run must already match golden.
 func chaosRun(ctx context.Context, opts Options, exp experiment.Experiment,
-	dir string, plane *faultinject.Plane, golden string) (chaosErr, err error) {
+	dir string, plane *faultinject.Plane, golden string, run *RunReport) (chaosErr, err error) {
 	store, err := checkpoint.Open(dir, false)
 	if err != nil {
 		return nil, err
@@ -330,18 +336,9 @@ func chaosRun(ctx context.Context, opts Options, exp experiment.Experiment,
 	eng.Runner.MaxRetries = opts.Retries
 	eng.JobTimeout = opts.JobTimeout
 
-	// A live broadcaster gives the telemetry.subscriber.slow point a seam:
-	// job-completion events publish as they would to /events under
-	// `-listen`, and stuck subscribers injected by the plane must only
-	// ever cost drops.
-	events := telemetry.NewBroadcaster()
-	defer events.Close()
-	events.SetChaos(plane)
-	eng.OnProgress(func(p experiment.Progress) {
-		events.Publish(telemetry.Event{Type: "job", Data: []byte(p.Label)})
-	})
-
 	table, runErr := eng.RunContext(ctx, exp)
+	run.Simulations = eng.Runner.NumRuns()
+	run.SnapshotWriteFailures = eng.Runner.SnapshotWriteFailures()
 	if runErr != nil {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("chaos run cancelled: %w", runErr)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/csalt-sim/csalt/internal/experiment"
 	"github.com/csalt-sim/csalt/internal/faultinject"
 )
 
@@ -81,8 +82,14 @@ func TestSweepOutcomeContractUnderParallelWorkers(t *testing.T) {
 // parallel, each with its own plane, store and engine. The store.torn row
 // also pins the full torn-write path: the tear fails the sweep with a
 // store-classified error, fsck flags the torn tail, and the resume
-// reproduces the golden bytes. The seeded 100-schedule sweep
-// (TestSeamCoverage) runs under the chaossweep build tag.
+// reproduces the golden bytes. Two of the clean-outcome rows are checked
+// for their effect as well, since firing alone proves nothing there:
+// job.transient:2 must cost exactly two extra simulations, and
+// snapshot.write must record exactly one failed write. snapshot.restore
+// has no such check: in the chaos phase its ordinal lands on a job whose
+// snapshot slot is still empty, so the quarantine has nothing to act on.
+// The seeded 100-schedule sweep (TestSeamCoverage) runs under the
+// chaossweep build tag.
 //
 // The job deadline is not under test except in the worker.stall row, and
 // under the race detector a micro job takes seconds, so the default 1 s
@@ -101,7 +108,6 @@ func TestPointSchedules(t *testing.T) {
 		{"job.transient:2", "clean", ""},
 		{"sim.stall:1@8", "resumed", "stall"},
 		{"sim.corrupt:1@19", "resumed", "invariant"},
-		{"telemetry.subscriber.slow:2", "clean", ""},
 		{"snapshot.write:1@6", "clean", ""},
 		{"snapshot.restore:1@4", "clean", ""},
 	}
@@ -119,6 +125,11 @@ func TestPointSchedules(t *testing.T) {
 	if len(rows) != len(largest) {
 		t.Errorf("%d rows for %d generated points", len(rows), len(largest))
 	}
+	exp, ok := experiment.ByID(ExperimentID)
+	if !ok {
+		t.Fatalf("experiment %q not registered", ExperimentID)
+	}
+	fig3Jobs := len(exp.Jobs(MicroScale))
 
 	for _, row := range rows {
 		t.Run(row.schedule, func(t *testing.T) {
@@ -143,8 +154,21 @@ func TestPointSchedules(t *testing.T) {
 			if r.Outcome != row.outcome || r.Class != row.class {
 				t.Errorf("outcome %s/%s, want %s/%s (%s)", r.Outcome, r.Class, row.outcome, row.class, r.Err)
 			}
-			if rule.Point == faultinject.StoreTorn && !r.TornTail {
-				t.Error("fsck saw no torn tail after an injected torn write")
+			switch rule.Point {
+			case faultinject.StoreTorn:
+				if !r.TornTail {
+					t.Error("fsck saw no torn tail after an injected torn write")
+				}
+			case faultinject.JobTransient:
+				// Each injected transient failure is one extra attempt.
+				if want := fig3Jobs + rule.Count; r.Simulations != want {
+					t.Errorf("%d simulations, want %d (%d jobs + %d retries)",
+						r.Simulations, want, fig3Jobs, rule.Count)
+				}
+			case faultinject.SnapshotWrite:
+				if r.SnapshotWriteFailures != 1 {
+					t.Errorf("%d snapshot write failures, want 1", r.SnapshotWriteFailures)
+				}
 			}
 		})
 	}
@@ -153,7 +177,7 @@ func TestPointSchedules(t *testing.T) {
 // TestExplicitReadmeSchedule keeps the documented example schedule valid
 // end to end.
 func TestExplicitReadmeSchedule(t *testing.T) {
-	spec := "checkpoint.write:err@3;store.torn:1;job.panic:gups;worker.stall:2x50ms;telemetry.subscriber.slow:1"
+	spec := "checkpoint.write:err@3;store.torn:1;job.panic:gups;worker.stall:2x50ms"
 	rep, err := Sweep(context.Background(), Options{
 		Schedule: faultinject.MustParse(spec),
 	})

@@ -21,7 +21,7 @@ func TestSeamCoverage(t *testing.T) {
 	for _, pt := range []string{
 		"checkpoint.write", "checkpoint.fsync", "store.torn",
 		"job.panic", "job.transient", "worker.stall",
-		"sim.stall", "sim.corrupt", "telemetry.subscriber.slow",
+		"sim.stall", "sim.corrupt",
 		"snapshot.write", "snapshot.restore",
 	} {
 		if rep.Coverage[pt] == 0 {

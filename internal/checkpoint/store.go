@@ -286,19 +286,6 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Keys returns every key currently in the index, sorted — the durable-run
-// inventory the telemetry plane serves on /runs.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
 // Replayed returns how many intact records were loaded from disk at Open —
 // the "resumed N completed jobs" number a sweep reports.
 func (s *Store) Replayed() int {

@@ -69,12 +69,9 @@ func (p Progress) Throughput() float64 {
 }
 
 // EngineStats aggregates per-job throughput and outcome counters across an
-// engine's lifetime; cmd/experiments exports them via -metrics-out and the
-// telemetry plane serves them as live /metrics gauges.
+// engine's lifetime; cmd/experiments exports them via -metrics-out, the
+// end-of-run summary and the SIGQUIT diagnostics dump.
 type EngineStats struct {
-	JobsTotal       int           // jobs handed to Execute calls so far
-	JobsDone        int           // jobs that produced an outcome (success or failure)
-	JobsRunning     int           // jobs in flight right now
 	JobsRun         int           // jobs that actually simulated (not memo hits or replays)
 	JobsReplayed    int           // jobs served from the checkpoint store (-resume)
 	JobsFailed      int           // jobs that ended in a (non-cancellation) error
@@ -82,15 +79,6 @@ type EngineStats struct {
 	JobWall         time.Duration // summed wall time of simulated jobs
 	SimCycles       uint64        // summed measured cycles across jobs
 	SimInstructions uint64        // summed measured instructions across jobs
-}
-
-// RefsPerSecond returns the aggregate measured memory-reference (retired
-// instruction) throughput over summed per-job wall time.
-func (s EngineStats) RefsPerSecond() float64 {
-	if s.JobWall <= 0 {
-		return 0
-	}
-	return float64(s.SimInstructions) / s.JobWall.Seconds()
 }
 
 // CyclesPerSecond returns the aggregate simulated-cycle throughput over
@@ -144,32 +132,15 @@ type Engine struct {
 
 	statsMu sync.Mutex
 	stats   EngineStats
-	started time.Time // first ExecuteContext call, for ETA extrapolation
 }
 
 // Stats returns a copy of the engine's aggregate throughput counters. It
-// is safe to call concurrently with an executing sweep — the telemetry
-// plane polls it from HTTP handlers.
+// is safe to call concurrently with an executing sweep — the SIGQUIT
+// diagnostics dump reads it mid-sweep.
 func (e *Engine) Stats() EngineStats {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
 	return e.stats
-}
-
-// ETA extrapolates the sweep's remaining wall time from the average
-// completed-job cost so far; zero until the first job lands.
-func (e *Engine) ETA() time.Duration {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	if e.stats.JobsDone == 0 || e.started.IsZero() {
-		return 0
-	}
-	rem := e.stats.JobsTotal - e.stats.JobsDone - e.stats.JobsSkipped
-	if rem <= 0 {
-		return 0
-	}
-	per := time.Since(e.started) / time.Duration(e.stats.JobsDone)
-	return per * time.Duration(rem)
 }
 
 // OnProgress appends fn to the engine's progress notifications, preserving
@@ -255,12 +226,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, jobs []Job) error {
 	}
 	// Renderers must mask the same failures the engine tolerates.
 	e.Runner.KeepGoing = e.KeepGoing
-	e.statsMu.Lock()
-	e.stats.JobsTotal += len(jobs)
-	if e.started.IsZero() {
-		e.started = time.Now()
-	}
-	e.statsMu.Unlock()
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -320,14 +285,6 @@ func (e *Engine) runJob(ctx context.Context, j Job, total int, start time.Time,
 	if e.JobTimeout > 0 {
 		jobCtx, cancel = context.WithTimeout(ctx, e.JobTimeout)
 	}
-	e.statsMu.Lock()
-	e.stats.JobsRunning++
-	e.statsMu.Unlock()
-	defer func() {
-		e.statsMu.Lock()
-		e.stats.JobsRunning--
-		e.statsMu.Unlock()
-	}()
 	cached := e.Runner.Cached(j.Config)
 	t0 := time.Now()
 	res, replayed, err := e.Runner.run(jobCtx, j.Config)
@@ -346,7 +303,6 @@ func (e *Engine) runJob(ctx context.Context, j Job, total int, start time.Time,
 
 	var cycles, instrs uint64
 	e.statsMu.Lock()
-	e.stats.JobsDone++
 	switch {
 	case err != nil:
 		e.stats.JobsFailed++

@@ -123,10 +123,10 @@ type Runner struct {
 	Observe func(*sim.System)
 
 	// ObserveDone, when non-nil, is invoked once a system handed to
-	// Observe finishes running — on success, failure or panic — so a live
-	// telemetry plane can retire the run's metric source. It runs on the
-	// simulating goroutine, after the run loop has stopped touching the
-	// system's counters.
+	// Observe finishes running — on success, failure or panic — so the
+	// caller can read the finished run's state (the attribution flags
+	// write their reports here). It runs on the simulating goroutine,
+	// after the run loop has stopped touching the system's counters.
 	ObserveDone func(*sim.System)
 
 	// Store, when non-nil, makes results durable: every completed
@@ -420,9 +420,9 @@ func (r *Runner) simulateOnce(ctx context.Context, cfg sim.Config) (res *sim.Res
 		r.Observe(sys)
 	}
 	if r.ObserveDone != nil {
-		// Deferred so telemetry sources retire even when the run panics
-		// (this defer runs before the recover handler above converts the
-		// panic into a *PanicError).
+		// Deferred so the hook runs even when the run panics (this defer
+		// runs before the recover handler above converts the panic into a
+		// *PanicError).
 		defer r.ObserveDone(sys)
 	}
 	defer r.trackLive(sys)()

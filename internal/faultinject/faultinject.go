@@ -1,8 +1,8 @@
 // Package faultinject is the deterministic fault-injection plane behind
 // the -chaos / -chaos-sweep machinery: a parsed schedule of injection
 // rules plus a concurrency-safe Plane that the instrumented seams
-// (checkpoint store, experiment runner, sim run loop, telemetry
-// broadcaster) consult at each injection point.
+// (checkpoint store, experiment runner, sim run loop, snapshot plane)
+// consult at each injection point.
 //
 // Determinism is the design constraint. A firing decision depends only on
 // the schedule and on the rule's matching-call ordinal — never on
@@ -55,10 +55,6 @@ const (
 	// SimCorrupt corrupts a model counter mid-run so an invariant
 	// checker (internal/invariant) must catch it.
 	SimCorrupt Point = "sim.corrupt"
-	// TelemetrySlow attaches never-draining SSE subscribers to the
-	// telemetry broadcaster; the publisher must keep dropping, never
-	// blocking.
-	TelemetrySlow Point = "telemetry.subscriber.slow"
 	// SnapshotWrite fails a mid-run snapshot write before any byte lands;
 	// the run continues and the previous snapshot (if any) stays live, so
 	// an interrupted job falls back one boundary further.
@@ -125,7 +121,7 @@ func (s Schedule) String() string {
 var knownPoints = map[Point]bool{
 	StoreWrite: true, StoreTorn: true, StoreFsync: true,
 	JobPanic: true, JobTransient: true, WorkerStall: true,
-	SimStall: true, SimCorrupt: true, TelemetrySlow: true,
+	SimStall: true, SimCorrupt: true,
 	SnapshotWrite: true, SnapshotRestore: true,
 }
 
@@ -360,7 +356,6 @@ func Generate(seed uint64) Schedule {
 		// run either way, just a less interesting one).
 		func() Rule { return Rule{Point: SimStall, Nth: 1 + r.intn(8), Count: 1} },
 		func() Rule { return Rule{Point: SimCorrupt, Nth: 10 + r.intn(10), Count: 1} },
-		func() Rule { return Rule{Point: TelemetrySlow, Count: 1 + r.intn(2)} },
 		// Snapshot points: the harness snapshots each job a few times, so
 		// write ordinals span several jobs; the restore seam is consulted
 		// once per job start (and per retry), so small ordinals cover it.

@@ -49,8 +49,8 @@ const (
 // NumCauses is the number of miss causes.
 const NumCauses = int(numCauses)
 
-// String returns the cause's wire name, used in report JSON keys,
-// registry metric labels and Prometheus `cause` label values.
+// String returns the cause's wire name, used in report JSON keys and
+// registry metric labels.
 func (c Cause) String() string {
 	switch c {
 	case Compulsory:

@@ -217,9 +217,8 @@ func (p *Plane) WriteHeatmapCSV(w io.Writer) error {
 }
 
 // RegisterMetrics publishes the plane's attribution counters into the
-// metrics registry under "introspect.*" groups. Cause-split counters use
-// the bracketed label-suffix convention ("misses[cause=capacity]") that
-// the Prometheus exposition adapter parses into real labels.
+// metrics registry under "introspect.*" groups. Cause-split counters carry
+// the cause as a bracketed label suffix ("misses[cause=capacity]").
 func (p *Plane) RegisterMetrics(r *obs.Registry) {
 	if r == nil {
 		return

@@ -6,8 +6,8 @@
 //
 // A violated check is reported as a structured *Violation error, which
 // flows through the experiment engine's ordinary failure machinery: it
-// fails the job, aggregates under errors.Join, renders as an ERR cell
-// under -keep-going, and degrades the telemetry plane's /healthz.
+// fails the job, aggregates under errors.Join, and renders as an ERR cell
+// under -keep-going.
 package invariant
 
 import (

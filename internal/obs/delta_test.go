@@ -10,7 +10,7 @@ import (
 )
 
 // snapshotKeySet flattens a snapshot into sorted "group metric [bucket]"
-// strings, the series identity a scrape consumer keys on.
+// strings, the series identity an interval consumer keys on.
 func snapshotKeySet(s Snapshot) []string {
 	var keys []string
 	for g, metrics := range s {
@@ -30,8 +30,8 @@ func snapshotKeySet(s Snapshot) []string {
 // TestDeltaKeySetMatchesFull pins the satellite fix: a delta snapshot must
 // expose exactly the key set of the full snapshot it was derived from —
 // groups, metrics and histogram buckets — with zero-valued entries present
-// rather than omitted, so interval consumers (Prometheus scrapes, epoch
-// diffing) never see series appear and disappear between readings.
+// rather than omitted, so interval consumers (epoch diffing) never see
+// series appear and disappear between readings.
 func TestDeltaKeySetMatchesFull(t *testing.T) {
 	r := NewRegistry()
 	var moved, still uint64
@@ -64,30 +64,5 @@ func TestDeltaKeySetMatchesFull(t *testing.T) {
 		if b.Count != 0 {
 			t.Fatalf("bucket [%d,%d) delta = %d, want 0", b.Lo, b.Hi, b.Count)
 		}
-	}
-}
-
-func TestSamplerNotifySeesEveryOfferedRow(t *testing.T) {
-	s := NewSampler([]string{"a"}, 4)
-	var seen int
-	s.SetNotify(func(row []float64) {
-		seen++
-		if len(row) != 1 {
-			t.Fatalf("notify row has %d cols, want 1", len(row))
-		}
-	})
-	for i := 0; i < 20; i++ {
-		s.Offer([]float64{float64(i)})
-	}
-	if seen != 20 {
-		t.Fatalf("notify saw %d rows, want all 20 offered (stride must not filter the subscription)", seen)
-	}
-	if s.Len() >= 20 {
-		t.Fatalf("sampler stored %d rows, expected downsampling below 20", s.Len())
-	}
-	s.SetNotify(nil)
-	s.Offer([]float64{99})
-	if seen != 20 {
-		t.Fatal("nil notify must remove the subscription")
 	}
 }

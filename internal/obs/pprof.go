@@ -2,36 +2,24 @@ package obs
 
 import (
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof handlers on DefaultServeMux
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// Profiling owns a process's runtime-profile capture: an optional
-// net/http/pprof endpoint for live inspection plus CPU/heap profile files
-// for offline analysis. Both CLIs share it so the flag behaviour is
-// identical everywhere.
+// Profiling owns a process's runtime-profile capture: CPU and heap
+// profile files for offline analysis. Both CLIs share it so the flag
+// behaviour is identical everywhere.
 type Profiling struct {
 	cpuFile *os.File
 	memPath string
 }
 
-// StartProfiling begins whatever capture the three arguments select (any
-// may be empty): addr serves net/http/pprof for the life of the process,
-// cpuPath starts a CPU profile that Stop finishes, memPath schedules a heap
-// profile written at Stop.
-func StartProfiling(addr, cpuPath, memPath string) (*Profiling, error) {
+// StartProfiling begins whatever capture the two arguments select (either
+// may be empty): cpuPath starts a CPU profile that Stop finishes, memPath
+// schedules a heap profile written at Stop.
+func StartProfiling(cpuPath, memPath string) (*Profiling, error) {
 	p := &Profiling{memPath: memPath}
-	if addr != "" {
-		go func() {
-			// Diagnostic endpoint only; a bind failure must not kill the run.
-			if err := http.ListenAndServe(addr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof server on %s: %v\n", addr, err)
-			}
-		}()
-	}
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {

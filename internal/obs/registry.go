@@ -22,29 +22,10 @@ import (
 	"github.com/csalt-sim/csalt/internal/stats"
 )
 
-// metricKind distinguishes monotone counters from point-in-time gauges,
-// so exposition formats that care (Prometheus TYPE lines) can tell them
-// apart; JSON/text snapshots treat both as plain scalars.
-type metricKind uint8
-
-const (
-	kindGauge metricKind = iota
-	kindCounter
-)
-
-// String renders the Prometheus TYPE keyword.
-func (k metricKind) String() string {
-	if k == kindCounter {
-		return "counter"
-	}
-	return "gauge"
-}
-
 // metric is one registered scalar: a name plus a closure reading the live
 // value.
 type metric struct {
 	name string
-	kind metricKind
 	get  func() float64
 }
 
@@ -71,7 +52,7 @@ func (g *Group) Gauge(name string, get func() float64) {
 	if g == nil {
 		return
 	}
-	g.metrics = append(g.metrics, metric{name: name, kind: kindGauge, get: get})
+	g.metrics = append(g.metrics, metric{name: name, get: get})
 }
 
 // Counter registers a monotonically increasing count; it is exported as a
@@ -80,7 +61,7 @@ func (g *Group) Counter(name string, get func() uint64) {
 	if g == nil {
 		return
 	}
-	g.metrics = append(g.metrics, metric{name: name, kind: kindCounter,
+	g.metrics = append(g.metrics, metric{name: name,
 		get: func() float64 { return float64(get()) }})
 }
 
@@ -195,9 +176,9 @@ func snapshotHist(h *stats.Log2Histogram) HistSnapshot {
 //
 // Delta preserves cur's key set exactly: every group, metric and histogram
 // bucket present in the full snapshot appears in the delta, including
-// zero-valued entries. Interval consumers (Prometheus scrapes, epoch
-// diffing) therefore see a stable series set — a counter that did not move
-// between snapshots reports 0 rather than disappearing.
+// zero-valued entries. Interval consumers (epoch diffing) therefore see a
+// stable series set — a counter that did not move between snapshots
+// reports 0 rather than disappearing.
 func Delta(cur, prev Snapshot) Snapshot {
 	out := make(Snapshot, len(cur))
 	for gname, metrics := range cur {

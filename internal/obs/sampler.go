@@ -20,7 +20,6 @@ type Sampler struct {
 	rows     [][]float64
 	stride   uint64 // keep every stride-th offered row
 	offered  uint64
-	notify   func(row []float64)
 }
 
 // DefaultSamplerCapacity bounds the time series when the caller does not.
@@ -57,21 +56,9 @@ func (s *Sampler) Stride() uint64 { return s.stride }
 // Offered returns the number of rows offered over the sampler's lifetime.
 func (s *Sampler) Offered() uint64 { return s.offered }
 
-// SetNotify registers a delta-subscription callback invoked synchronously
-// with every offered row — including rows the downsampling stride
-// discards, so a live consumer sees full epoch resolution regardless of
-// the stored series' stride. The callback runs on the driver's goroutine
-// (for sim.System, the simulation loop); it must not block and must not
-// retain the row slice past the call (copy or serialise it immediately).
-// A nil fn removes the subscription.
-func (s *Sampler) SetNotify(fn func(row []float64)) { s.notify = fn }
-
 // Offer submits one epoch's row (which the sampler takes ownership of) and
 // reports whether it was stored; rows between strides are discarded.
 func (s *Sampler) Offer(row []float64) bool {
-	if s.notify != nil {
-		s.notify(row)
-	}
 	s.offered++
 	if (s.offered-1)%s.stride != 0 {
 		return false

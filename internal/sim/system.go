@@ -367,8 +367,8 @@ func (s *System) takeSnaps() {
 }
 
 // Config returns the configuration the system was built from, so callers
-// holding only the system (observer hooks, telemetry sources) can label
-// what they are looking at.
+// holding only the system (observer hooks) can label what they are
+// looking at.
 func (s *System) Config() Config { return s.cfg }
 
 // Mem exposes the memory system for white-box tests.
