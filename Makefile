@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-short race race-short race-fault race-chaos race-snapshot fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache fuzz-schedule equivalence alloc golden-update bench bench-json perfbench-smoke introspect-smoke check
+.PHONY: build vet test test-short race race-short race-fault race-chaos race-snapshot fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache fuzz-schedule equivalence alloc golden-update bench perfbench-smoke introspect-smoke check
 
 # Every test invocation gets a hard -timeout (a wedged test must fail, not
 # hang CI — the same philosophy as the simulator's own watchdogs) and
@@ -124,12 +124,14 @@ alloc:
 
 # Introspection smoke: the cross-engine attribution equivalence matrix
 # (report byte-identical on both engines), the passivity and ledger
-# tests, the zero-alloc and disabled-overhead gates, the golden-table
-# compare with the plane attached, and a real attribution run through
-# cmd/csaltsim with the conservation checkers armed (-check verifies
-# every probe's cause buckets sum to the counters they shadow).
+# tests, the zero-alloc gate, the two 2% overhead gates (disabled
+# attribution hooks and the always-on invariant pass, priced against the
+# probe run), the golden-table compare with the plane attached, and a
+# real attribution run through cmd/csaltsim with the conservation
+# checkers armed (-check verifies every probe's cause buckets sum to the
+# counters they shadow).
 introspect-smoke:
-	$(GO) test $(TESTFLAGS) -run 'Introspect|Attribution' ./internal/sim/ ./internal/benchreg/
+	$(GO) test $(TESTFLAGS) -run 'Introspect|Attribution|OverheadWithinBar' ./internal/sim/
 	$(GO) test $(TESTFLAGS) -run TestDisabledIntrospectionGoldenTables ./internal/experiment/
 	$(GO) run ./cmd/csaltsim -mix gups -cores 2 -refs 120000 -warmup 24000 -scale 0.05 -check \
 		-attr-out /tmp/csalt-introspect-smoke.json -heatmap-csv /tmp/csalt-introspect-smoke.csv >/dev/null
@@ -139,14 +141,11 @@ introspect-smoke:
 golden-update:
 	$(GO) test ./internal/experiment/ -run TestGoldenTables -update
 
+# Run every package's benchmarks once, so a benchmark that no longer
+# builds or fails its own checks is caught. One iteration measures
+# nothing; performance is measured with bash perfbench/run.sh.
 bench:
-	$(GO) test -bench . -benchtime 1x -run ^$$ .
-
-# Benchmark-regression harness: run the bench suite plus the fixed
-# throughput probe, write BENCH_<date>.json, and fail on >10% slowdowns
-# against the latest prior report (see cmd/benchreg).
-bench-json:
-	$(GO) run ./cmd/benchreg -dir .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The benchmark module: perfbench/ is a nested Go module, so the ./...
 # patterns above never compile it. Vet and test it, then run one short

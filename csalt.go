@@ -23,14 +23,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	runtimedebug "runtime/debug"
 	"sync"
 
 	"github.com/csalt-sim/csalt/internal/cache"
-	"github.com/csalt-sim/csalt/internal/checkpoint"
 	"github.com/csalt-sim/csalt/internal/core"
+	"github.com/csalt-sim/csalt/internal/experiment"
 	"github.com/csalt-sim/csalt/internal/sim"
-	"github.com/csalt-sim/csalt/internal/snapshot"
 	"github.com/csalt-sim/csalt/internal/workload"
 )
 
@@ -94,7 +92,7 @@ func Run(cfg Config) (*Results, error) {
 // ctx every few hundred steps and returns ctx.Err() (wrapped) once
 // cancelled, so SIGINT-driven shutdowns stop a long run promptly.
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
-	return runOne(ctx, cfg, ManyOpts{})
+	return newRunner(ManyOpts{}).RunContext(ctx, cfg)
 }
 
 // ManyOpts configures RunManyContext beyond the per-run Config: knobs
@@ -126,88 +124,15 @@ type ManyOpts struct {
 	SnapshotEvery uint64
 }
 
-// runOne executes a single configuration with panic isolation: a panic
-// inside the simulator surfaces as this run's error, not a process crash.
-func runOne(ctx context.Context, cfg Config, o ManyOpts) (res *Results, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			stack := runtimedebug.Stack()
-			if len(stack) > 4<<10 {
-				stack = stack[:4<<10]
-			}
-			err = fmt.Errorf("csalt: simulation panicked: %v\n%s", p, stack)
-		}
-	}()
-	s, clear, err := buildSystem(cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	if o.StallLimitCycles > 0 {
-		s.SetStallLimit(o.StallLimitCycles)
-	}
-	if o.CheckInvariants {
-		s.EnableInvariantChecks(0)
-	}
-	res, err = s.RunContext(ctx)
-	if err == nil {
-		clear()
-	}
-	return res, err
-}
-
-// buildSystem constructs the run's system — restored from a valid mid-run
-// snapshot when SnapshotDir holds one for this configuration, fresh
-// otherwise — and returns the cleanup that removes the snapshot once the
-// run completes. Damage of any kind (unreadable bytes, checksum, version
-// or key mismatch, failed restore verification) quarantines the file and
-// falls back to a from-zero start.
-func buildSystem(cfg Config, o ManyOpts) (*sim.System, func(), error) {
-	none := func() {}
-	if o.SnapshotDir == "" {
-		s, err := sim.New(cfg)
-		return s, none, err
-	}
-	key, err := checkpoint.KeyOf(cfg)
-	if err != nil {
-		return nil, none, err
-	}
-	path := snapshot.PathFor(o.SnapshotDir, key)
-	var s *sim.System
-	if meta, st, rerr := snapshot.Read(path); rerr != nil {
-		snapshot.Quarantine(path) //nolint:errcheck
-	} else if st != nil && meta.Key == key {
-		if restored, rerr := sim.RestoreSystem(cfg, st); rerr == nil {
-			s = restored
-		} else {
-			snapshot.Quarantine(path) //nolint:errcheck
-		}
-	}
-	if s == nil {
-		if s, err = sim.New(cfg); err != nil {
-			return nil, none, err
-		}
-	}
-	s.EnableSnapshots(&fileSink{path: path, key: key}, o.SnapshotEvery)
-	return s, func() { snapshot.Remove(path) }, nil //nolint:errcheck
-}
-
-// fileSink persists one run's snapshots to its keyed slot, fail-open: a
-// failed write degrades the run to snapshot-free operation rather than
-// failing it.
-type fileSink struct {
-	path, key string
-	seq       uint64
-}
-
-func (k *fileSink) WriteSnapshot(st *snapshot.State, steps uint64) error {
-	meta := snapshot.Meta{
-		Schema: snapshot.Schema, Version: snapshot.Version,
-		Key: k.key, Seq: k.seq, Steps: steps,
-	}
-	if err := snapshot.Write(k.path, meta, st, nil); err == nil {
-		k.seq++
-	}
-	return nil
+// newRunner maps o onto the experiment job runner, which gives every run
+// panic isolation and the snapshot restore-or-quarantine path.
+func newRunner(o ManyOpts) *experiment.Runner {
+	r := experiment.NewRunner(experiment.Scale{})
+	r.StallLimit = o.StallLimitCycles
+	r.CheckInvariants = o.CheckInvariants
+	r.SnapshotDir = o.SnapshotDir
+	r.SnapshotEvery = o.SnapshotEvery
+	return r
 }
 
 // RunMany executes several independent configurations across a bounded
@@ -221,7 +146,8 @@ func RunMany(cfgs []Config, parallel int) ([]*Results, error) {
 // bounded worker pool and returns their results in input order. Each
 // simulation owns its entire world, so runs neither share state nor
 // perturb each other; results are deterministic per configuration
-// regardless of parallelism.
+// regardless of parallelism. Equal configurations are simulated once and
+// share one *Results.
 //
 // Failures are isolated and aggregated: a panicking or failing
 // configuration nils only its own result slot, every other configuration
@@ -235,6 +161,7 @@ func RunManyContext(ctx context.Context, cfgs []Config, o ManyOpts) ([]*Results,
 	if len(cfgs) == 0 {
 		return results, nil
 	}
+	r := newRunner(o)
 	parallel := o.Parallel
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -256,7 +183,7 @@ func RunManyContext(ctx context.Context, cfgs []Config, o ManyOpts) ([]*Results,
 				if ctx.Err() != nil {
 					continue
 				}
-				res, err := runOne(ctx, cfgs[i], o)
+				res, err := r.RunContext(ctx, cfgs[i])
 				if err != nil {
 					if errors.Is(err, context.Canceled) {
 						continue // interrupted, not failed

@@ -1,6 +1,15 @@
 package csalt
 
-import "testing"
+import (
+	"context"
+	"encoding/json"
+	"os"
+	"strings"
+	"testing"
+
+	"github.com/csalt-sim/csalt/internal/checkpoint"
+	"github.com/csalt-sim/csalt/internal/snapshot"
+)
 
 // facadeConfig returns a seconds-fast configuration for facade tests.
 func facadeConfig() Config {
@@ -33,6 +42,67 @@ func TestRunFacadeRejectsBadConfig(t *testing.T) {
 	cfg.Cores = 0
 	if _, err := Run(cfg); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestRunManyContext runs two valid configurations around one that fails
+// Validate. The first one's snapshot slot holds garbage bytes and the
+// second one's a well-formed snapshot keyed to another configuration. The
+// valid slots must equal Run's Results, the invalid slot stays nil with
+// its index named in the joined error, and both damaged slots are
+// quarantined without touching the results they would have resumed.
+func TestRunManyContext(t *testing.T) {
+	a := facadeConfig()
+	bad := facadeConfig()
+	bad.Cores = 0
+	b := facadeConfig()
+	b.Scheme = SchemeCSALTCD
+	dir := t.TempDir()
+	keyA, err := checkpoint.KeyOf(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyB, err := checkpoint.KeyOf(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapshot.PathFor(dir, keyA), []byte("not a snapshot\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	foreign := snapshot.Meta{Schema: snapshot.Schema, Version: snapshot.Version, Key: keyA}
+	if err := snapshot.Write(snapshot.PathFor(dir, keyB), foreign, &snapshot.State{}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	cfgs := []Config{a, bad, b}
+	got, err := RunManyContext(context.Background(), cfgs, ManyOpts{Parallel: 2, SnapshotDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "configuration 1 ") {
+		t.Fatalf("joined error does not name configuration 1: %v", err)
+	}
+	if strings.Contains(err.Error(), "configuration 0 ") || strings.Contains(err.Error(), "configuration 2 ") {
+		t.Errorf("valid configurations reported as failed: %v", err)
+	}
+	if got[1] != nil {
+		t.Errorf("invalid configuration produced results: %+v", got[1])
+	}
+	for _, i := range []int{0, 2} {
+		want, err := Run(cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wj, _ := json.Marshal(want)
+		gj, _ := json.Marshal(got[i])
+		if string(gj) != string(wj) {
+			t.Errorf("configuration %d: RunManyContext results differ from Run", i)
+		}
+	}
+	info, err := snapshot.ScanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Quarantined != 2 || info.Snapshots != 0 {
+		t.Errorf("snapshot dir: %d quarantined, %d left; want both damaged slots quarantined and nothing left",
+			info.Quarantined, info.Snapshots)
 	}
 }
 

@@ -60,7 +60,8 @@ func benchCacheAccess(b *testing.B, flat bool, sh benchShape) {
 // BenchmarkCacheAccess covers both line-metadata layouts on two shapes:
 // the simulator's 512 KB 8-way L2 under GUPS (flat, reference), and its
 // 8 MB 16-way L3 under CSALT partitioning with DIP-style demoting fills
-// (l3_flat, l3_reference). Picked up by cmd/benchreg's go-bench pass.
+// (l3_flat, l3_reference). `make bench` runs it once; perfbench measures
+// the whole simulator.
 func BenchmarkCacheAccess(b *testing.B) {
 	l2 := benchShape{sizeKB: 512, ways: 8}
 	l3 := benchShape{sizeKB: 8192, ways: 16, partition: 12, demote: true}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/csalt-sim/csalt/internal/faultinject"
 	"github.com/csalt-sim/csalt/internal/sim"
 	"github.com/csalt-sim/csalt/internal/snapshot"
 	"github.com/csalt-sim/csalt/internal/workload"
@@ -16,7 +17,9 @@ import (
 // contract: a job stopped mid-run by SnapshotStopAll leaves a durable
 // snapshot behind, and a fresh runner (a fresh process stand-in) pointed
 // at the same directory resumes it to a byte-identical result, then
-// clears the slot.
+// clears the slot. With the snapshot.restore point firing on that real
+// snapshot, the fresh runner must instead quarantine it and simulate from
+// zero, still to a byte-identical result.
 func TestRunnerSnapshotDrainResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run snapshot test")
@@ -36,8 +39,55 @@ func TestRunnerSnapshotDrainResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted: hammer the drain request until the in-flight job stops
-	// at a poll boundary with its final snapshot persisted.
+	for _, tc := range []struct {
+		name                 string
+		chaos                string
+		resumed, quarantined int
+	}{
+		{name: "resume", resumed: 1},
+		{name: "restore_fault", chaos: "snapshot.restore:1", quarantined: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := drainedSnapshot(t, cfg)
+
+			// Resume: a fresh runner over the same directory.
+			r2 := NewRunner(microScale)
+			r2.SnapshotDir = dir
+			if tc.chaos != "" {
+				sched, err := faultinject.Parse(tc.chaos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r2.Chaos = faultinject.New(sched)
+			}
+			got, err := r2.Run(cfg)
+			if err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			if n := r2.Resumed(); n != tc.resumed {
+				t.Errorf("resumed runner restored %d jobs, want %d", n, tc.resumed)
+			}
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotJSON) != string(wantJSON) {
+				t.Error("resumed Results differ from uninterrupted run")
+			}
+			info, err := snapshot.ScanDir(dir)
+			if err != nil || info.Snapshots != 0 || info.Quarantined != tc.quarantined {
+				t.Errorf("after the resumed run: %+v err=%v, want no snapshot and %d quarantined",
+					info, err, tc.quarantined)
+			}
+		})
+	}
+}
+
+// drainedSnapshot runs cfg under a snapshotting runner, hammers the drain
+// request until the in-flight job stops at a poll boundary with its final
+// snapshot persisted, and returns the directory holding that snapshot.
+func drainedSnapshot(t *testing.T, cfg sim.Config) string {
+	t.Helper()
 	dir := t.TempDir()
 	r1 := NewRunner(microScale)
 	r1.SnapshotDir = dir
@@ -70,25 +120,5 @@ drain:
 	if r1.Cached(cfg) {
 		t.Error("interrupted job left a memoised result")
 	}
-
-	// Resume: a fresh runner over the same directory.
-	r2 := NewRunner(microScale)
-	r2.SnapshotDir = dir
-	got, err := r2.Run(cfg)
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if n := r2.Resumed(); n != 1 {
-		t.Errorf("resumed runner restored %d jobs, want 1", n)
-	}
-	gotJSON, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotJSON) != string(wantJSON) {
-		t.Error("resumed Results differ from uninterrupted run")
-	}
-	if info, err := snapshot.ScanDir(dir); err != nil || info.Snapshots != 0 {
-		t.Errorf("completed job left its snapshot behind: %+v err=%v", info, err)
-	}
+	return dir
 }

@@ -81,7 +81,7 @@ func newWalkBench(b *testing.B) *walkBench {
 // node frame is also a host map) plus a host map of its data gPA, which
 // the host table holds densely. It reports set-up time per footprint
 // page and the two tables' PTE-store bytes per stored entry.
-// cmd/benchreg's go-bench pass picks it up.
+// `make bench` runs it once; perfbench measures the whole simulator.
 func BenchmarkTableMap(b *testing.B) {
 	b.ReportAllocs()
 	var w *walkBench
@@ -110,7 +110,8 @@ func xorshift(x uint64) uint64 {
 // "1d" walks the guest table alone (Figure 2a's native walk); "2d" also
 // walks the host table for every guest PTE address and for the leaf
 // (Figure 2b's nested walk, 24 PTE reads on 4-level tables, with no PSC
-// or nested TLB to skip any). cmd/benchreg's go-bench pass picks it up.
+// or nested TLB to skip any). `make bench` runs it once; perfbench
+// measures the whole simulator.
 func BenchmarkTableWalk(b *testing.B) {
 	w := newWalkBench(b)
 	b.Run("1d", func(b *testing.B) {

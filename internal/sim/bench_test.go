@@ -9,11 +9,11 @@ import (
 
 // BenchmarkEpochBatch measures the steady-state cost of one simulation
 // step — generator, translation, data path, MLP bookkeeping — through the
-// benchreg probe's configuration (2 cores, GUPS/GUPS, CSALT-CD), driven
-// by the same min-cycle-first schedule as the run loop's batched inner
-// loop. The fast/reference pair is the whole-engine speedup; the
+// probe's configuration (2 cores, GUPS/GUPS, CSALT-CD; see probeConfig),
+// driven by the same min-cycle-first schedule as the run loop's batched
+// inner loop. The fast/reference pair is the whole-engine speedup; the
 // per-subsystem layout deltas live in the tlb and cache packages.
-// Picked up by cmd/benchreg's go-bench pass.
+// `make bench` runs it once; perfbench measures the whole simulator.
 func benchEpochBatch(b *testing.B, engine string) {
 	cfg := DefaultConfig()
 	cfg.Engine = engine
@@ -55,8 +55,8 @@ func BenchmarkEpochBatch(b *testing.B) {
 // min-clock-first pick over eight cores weighs next to the generator. Each
 // iteration builds a fresh system outside the timer and runs it to
 // completion; ns/ref is the timed host time per retired reference, warm-up
-// included. BenchmarkEpochBatch never enters the run loop. Picked up by
-// cmd/benchreg's go-bench pass.
+// included. BenchmarkEpochBatch never enters the run loop. `make bench`
+// runs it once; perfbench measures the whole simulator.
 func BenchmarkRunLoop(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Cores = 8

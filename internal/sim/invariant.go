@@ -24,7 +24,6 @@ type invState struct {
 	structural *invariant.Set
 	pollEvery  int // watchdog polls between periodic checks; 0 = end-of-run only
 	polls      int
-	disabled   bool // benchreg A/B baseline only: skip all checking
 }
 
 // chaosState is the sim run loop's view of the fault-injection plane.
@@ -53,12 +52,6 @@ func (s *System) EnableInvariantChecks(everySteps uint64) {
 	}
 	s.inv.pollEvery = polls
 }
-
-// DisableInvariantChecks turns off all invariant checking, including the
-// always-on end-of-run pass. It exists for one caller: the benchreg
-// overhead probe, which needs a checks-off baseline to price the
-// always-on pass against.
-func (s *System) DisableInvariantChecks() { s.inv.disabled = true }
 
 // buildInvariants registers every conservation law over the constructed
 // hierarchy. Closures read live counters, mirroring registerMetrics;
@@ -152,9 +145,6 @@ func sortedASIDs(m *memSystem) []mem.ASID {
 // into one error. The run loop calls it at the end of every run; tests
 // and the -check flag add mid-run calls.
 func (s *System) CheckInvariants() error {
-	if s.inv.disabled {
-		return nil
-	}
 	s.buildInvariants()
 	err := s.inv.cheap.Check()
 	if s.inv.pollEvery > 0 {
@@ -180,7 +170,7 @@ func (s *System) checkPeriodic() error {
 			s.CorruptForTest("tlb-counter")
 		}
 	}
-	if s.inv.pollEvery == 0 || s.inv.disabled {
+	if s.inv.pollEvery == 0 {
 		return nil
 	}
 	s.inv.polls++

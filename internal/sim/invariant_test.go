@@ -116,15 +116,3 @@ func TestChaosStallNeedsArmedWatchdog(t *testing.T) {
 		t.Fatalf("unarmed watchdog: %v", err)
 	}
 }
-
-func TestDisableInvariantChecks(t *testing.T) {
-	sys := MustNew(tinyConfig())
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	sys.CorruptForTest("tlb-counter")
-	sys.DisableInvariantChecks()
-	if err := sys.CheckInvariants(); err != nil {
-		t.Errorf("disabled checks still ran: %v", err)
-	}
-}

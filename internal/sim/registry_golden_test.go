@@ -2,11 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/csalt-sim/csalt/internal/core"
 	"github.com/csalt-sim/csalt/internal/introspect"
 	"github.com/csalt-sim/csalt/internal/obs"
 	"github.com/csalt-sim/csalt/internal/workload"
@@ -83,4 +85,38 @@ func TestRegistryGolden(t *testing.T) {
 				golden, i+1, g, w)
 		}
 	}
+}
+
+// probeConfig is the fixed throughput-probe system: 2 cores, GUPS on both
+// VMs, CSALT-CD at scale 0.1, with a fifth of each core's references as
+// warm-up. It exercises the whole model (TLBs, caches, partitioning
+// controller, DRAM, walkers) in sub-second runs; the probe golden pins its
+// registry and the overhead gates price their hooks against its wall time.
+func probeConfig(refsPerCore uint64) Config {
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	cfg.Scale = 0.1
+	cfg.MaxRefsPerCore = refsPerCore
+	cfg.WarmupRefs = refsPerCore / 5
+	cfg.Scheme = core.CriticalityDynamic
+	cfg.Mix = workload.Mix{ID: "probe", VM1: workload.GUPS, VM2: workload.GUPS}
+	return cfg
+}
+
+// TestProbeRegistryGolden pins the sha256 of the probe's registry snapshot
+// (json.Marshal of Registry.Snapshot, 120k references per core) on both
+// engines, through the equivalence suite's engineRun (invariant checks
+// armed; they are passive). Unlike TestRegistryGolden it runs the
+// partitioning controller on two cores with no attribution plane
+// attached, so it is the digest that says a host-speed change left the
+// partitioned model untouched.
+//
+//	go test ./internal/sim -run TestProbeRegistryGolden -update
+func TestProbeRegistryGolden(t *testing.T) {
+	var got strings.Builder
+	for _, engine := range []string{EngineFast, EngineReference} {
+		digest, _ := engineRun(t, probeConfig(120_000), engine)
+		fmt.Fprintf(&got, "probe/%s %s\n", engine, digest)
+	}
+	checkGolden(t, filepath.Join("testdata", "probe_registry.golden"), got.String())
 }

@@ -8,14 +8,14 @@
 // RunningMean — is a strict left-to-right fold over the caller-supplied
 // order, with no pairwise, sorted or compensated (Kahan) summation.
 // Floating-point addition is not associative, so the order is part of each
-// helper's contract: the golden experiment tables, the benchreg metrics
-// digest and the fast-vs-reference engine-equivalence suite all compare
-// results bit for bit, and a reordered accumulation produces a different
-// last bit (see order_test.go for a pinned demonstration). Changing the
-// accumulation strategy is a behaviour change that requires regenerating
-// goldens — not a refactor. Callers, in turn, must feed observations in a
-// deterministic order; the simulator's single-threaded run loop guarantees
-// this by construction.
+// helper's contract: the golden experiment tables, the probe's metrics
+// digest (internal/sim TestProbeRegistryGolden) and the fast-vs-reference
+// engine-equivalence suite all compare results bit for bit, and a
+// reordered accumulation produces a different last bit (see order_test.go
+// for a pinned demonstration). Changing the accumulation strategy is a
+// behaviour change that requires regenerating goldens — not a refactor.
+// Callers, in turn, must feed observations in a deterministic order; the
+// simulator's single-threaded run loop guarantees this by construction.
 package stats
 
 import (

@@ -9,8 +9,9 @@ import (
 // Benchmarks for the two entry layouts, shaped like the simulator's own
 // traffic: a working set a few times larger than capacity, so probes see
 // the realistic mix of hits (refresh + LRU touch) and misses (victim
-// scan + insert). cmd/benchreg's go-bench pass picks these up; compare
-// flat vs reference for the layout speedup in isolation.
+// scan + insert). `make bench` runs them once; measure with -benchtime
+// and -count (perfbench measures the whole simulator), and compare flat
+// vs reference for the layout speedup in isolation.
 
 // xorshift is the benchmark's address scrambler — cheap enough not to
 // drown the structure under measurement.
