@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-short race race-short race-fault race-chaos race-snapshot fuzz fuzz-engines fuzz-snapshot fuzz-pagetable fuzz-cache fuzz-schedule equivalence alloc golden-update bench perfbench-smoke introspect-smoke check
+.PHONY: build vet test test-short race race-short race-fault race-chaos fuzz fuzz-engines fuzz-pagetable fuzz-cache fuzz-schedule equivalence alloc golden-update bench perfbench-smoke introspect-smoke check
 
 # Every test invocation gets a hard -timeout (a wedged test must fail, not
 # hang CI — the same philosophy as the simulator's own watchdogs) and
@@ -54,16 +54,6 @@ race-fault:
 race-chaos:
 	$(GO) test $(TESTFLAGS) -race -short ./internal/chaos/ ./internal/faultinject/
 
-# Race coverage of the durable mid-run snapshot plane: the codec's
-# corruption/torn-tail/version-skew detection, the sim-level
-# byte-identical resume contract on both engines, and the runner's
-# concurrent drain-stop/restore path. -short skips only the full
-# equivalence-matrix resume sweep, which the plain test run still covers.
-race-snapshot:
-	$(GO) test $(TESTFLAGS) -race ./internal/snapshot/
-	$(GO) test $(TESTFLAGS) -race -short -run 'TestSnapshot' ./internal/sim/
-	$(GO) test $(TESTFLAGS) -race -run 'Snapshot' ./internal/experiment/
-
 # Bounded fuzz pass over the workload generators (footprint containment
 # and seed determinism). Extend -fuzztime for deeper soaks.
 fuzz:
@@ -74,12 +64,6 @@ fuzz:
 # metrics required. Extend -fuzztime for deeper soaks.
 fuzz-engines:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime 30s
-
-# Bounded fuzz pass over the snapshot codec: encode→decode→re-encode must
-# reproduce the exact bytes and single-byte damage must never decode
-# silently. Extend -fuzztime for deeper soaks.
-fuzz-snapshot:
-	$(GO) test ./internal/snapshot/ -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
 
 # Bounded fuzz pass over the page table against its map-of-maps oracle
 # (internal/pagetable/oracle_test.go): random Map/MapIfAbsent/Lookup/Walk
@@ -94,7 +78,7 @@ fuzz-pagetable:
 
 # Bounded fuzz pass over the data caches' flat layout against the reference
 # layout (internal/cache/layouts_fuzz_test.go): random Lookup/Fill/FillAt/
-# MarkDirty/SetPartition/Flush/snapshot sequences over 1-16 ways, all three
+# MarkDirty/SetPartition/Flush sequences over 1-16 ways, all three
 # policies and both profiler modes, with the flat LRU stamp counter started
 # just short of its 2^32 wrap, must agree on every hit, writeback, counter,
 # resident line and recency order. Its seed corpus runs in plain go test.
@@ -159,4 +143,4 @@ perfbench-smoke:
 	echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -q '"failed":0[,}]' || \
 		{ echo "perfbench-smoke: the run was not correct or had failed checks" >&2; exit 1; }
 
-check: build vet test alloc race-short race-fault race-chaos race-snapshot introspect-smoke
+check: build vet test alloc race-short race-fault race-chaos introspect-smoke

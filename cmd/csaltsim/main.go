@@ -15,11 +15,10 @@
 //
 // SIGINT/SIGTERM cancel in-flight simulations cooperatively; observed runs
 // still flush whatever trace/metrics/epoch artifacts accumulated before
-// the signal. -snapshot-dir arms durable mid-run snapshots: interrupted
-// configurations resume from their newest valid snapshot on the next
-// invocation with the same flags, byte-identical to an uninterrupted run
-// (see ROBUSTNESS.md, "Mid-run snapshots"). Exit codes: 0 success, 1
-// simulation failure, 2 usage/config error, 130 interrupted.
+// the signal. Every run, observed or not, goes through the experiment
+// runner, so a simulator panic fails its mix instead of the process.
+// Exit codes: 0 success, 1 simulation failure, 2 usage/config error, 130
+// interrupted.
 package main
 
 import (
@@ -71,8 +70,6 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the full Results struct(s) as JSON")
 		stallCyc = flag.Uint64("stall-cycles", 10_000_000, "forward-progress watchdog: fail a run if no instruction retires for this many simulated cycles (0 = off)")
 		check    = flag.Bool("check", false, "arm the opt-in structural model-invariant checkers (periodic conservation and partition audits); a violation fails the run")
-		snapDir  = flag.String("snapshot-dir", "", "write durable mid-run snapshots into this directory and resume interrupted configurations from their newest valid snapshot (see ROBUSTNESS.md)")
-		snapEvry = flag.Uint64("snapshot-every", 0, "with -snapshot-dir: snapshot cadence in simulation steps (0 = a sensible default)")
 	)
 	var of obsFlags
 	registerObsFlags(&of)
@@ -157,25 +154,14 @@ func main() {
 	var results []*csalt.Results
 	var runErr error
 	if of.observed() {
-		// Observed runs go through sim directly so the observer can attach
-		// to each freshly built system; they run sequentially, each owning
-		// its output files. Their incrementally written artifacts (traces,
-		// epoch CSVs) are not covered by snapshots, so the two are mutually
-		// exclusive.
-		if *snapDir != "" {
-			usageFail("-snapshot-dir is incompatible with observation flags (trace/epoch artifacts cannot resume mid-run)")
-		}
+		// Observed runs attach an observer to each freshly built system;
+		// they run sequentially, each owning its output files.
 		results, runErr = runObserved(ctx, cfgs, &of, *stallCyc, *check)
 	} else {
-		if *snapEvry > 0 && *snapDir == "" {
-			usageFail("-snapshot-every needs -snapshot-dir")
-		}
 		results, runErr = csalt.RunManyContext(ctx, cfgs, csalt.ManyOpts{
 			Parallel:         *parallel,
 			StallLimitCycles: *stallCyc,
 			CheckInvariants:  *check,
-			SnapshotDir:      *snapDir,
-			SnapshotEvery:    *snapEvry,
 		})
 	}
 

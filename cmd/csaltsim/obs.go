@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"github.com/csalt-sim/csalt"
+	"github.com/csalt-sim/csalt/internal/experiment"
 	"github.com/csalt-sim/csalt/internal/introspect"
 	"github.com/csalt-sim/csalt/internal/obs"
 	"github.com/csalt-sim/csalt/internal/sim"
@@ -102,23 +103,14 @@ func runObserved(ctx context.Context, cfgs []csalt.Config, f *obsFlags, stallLim
 	return results, nil
 }
 
+// runOneObserved runs cfg through an experiment.Runner, which builds the
+// system, arms the watchdog and checkers, and turns a simulator panic into
+// an *experiment.PanicError; its Observe hook attaches the observer and the
+// attribution plane to the system it builds.
 func runOneObserved(ctx context.Context, cfg csalt.Config, f *obsFlags, format obs.Format, mask obs.EventMask, many bool, stallLimit uint64, check bool) (*csalt.Results, error) {
-	sys, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if stallLimit > 0 {
-		sys.SetStallLimit(stallLimit)
-	}
-	if check {
-		sys.EnableInvariantChecks(0)
-	}
-
 	o := &obs.Observer{SampleEvery: f.epochEvery}
-
-	var traceFile *os.File
 	if f.traceOut != "" {
-		traceFile, err = createFile(outPath(f.traceOut, cfg.Mix.ID, many))
+		traceFile, err := createFile(outPath(f.traceOut, cfg.Mix.ID, many))
 		if err != nil {
 			return nil, err
 		}
@@ -131,20 +123,30 @@ func runOneObserved(ctx context.Context, cfg csalt.Config, f *obsFlags, format o
 	if f.epochCSV != "" {
 		o.Sampler = obs.NewSampler(sim.SamplerColumns(), f.epochCap)
 	}
-	sys.AttachObserver(o)
 
-	// Attribution attaches after the observer so switch-damage/phase
-	// events reach the trace and introspect.* counters reach the registry.
+	r := experiment.NewRunner(experiment.Scale{})
+	r.StallLimit = stallLimit
+	r.CheckInvariants = check
+	var built bool
 	var plane *introspect.Plane
-	if f.attrOut != "" || f.heatmapCSV != "" {
-		plane = introspect.NewPlane(introspect.Config{Cores: cfg.Cores})
-		sys.AttachIntrospection(plane)
+	r.Observe = func(sys *sim.System) {
+		built = true
+		sys.AttachObserver(o)
+		// Attribution attaches after the observer so switch-damage/phase
+		// events reach the trace and introspect.* counters reach the
+		// registry.
+		if f.attrOut != "" || f.heatmapCSV != "" {
+			plane = introspect.NewPlane(introspect.Config{Cores: cfg.Cores})
+			sys.AttachIntrospection(plane)
+		}
+	}
+	res, runErr := r.RunContext(ctx, cfg)
+	if !built {
+		return nil, runErr
 	}
 
-	res, runErr := sys.RunContext(ctx)
-
-	// Flush artifacts even when the run was cut short: the events, metrics
-	// and epoch samples up to the cancellation point are already in the
+	// Flush artifacts even when the run was cut short or panicked: the
+	// events, metrics and epoch samples up to that point are already in the
 	// observer and are often the whole reason the run was observed.
 	if o.Tracer != nil {
 		if err := o.Tracer.Close(); err != nil && runErr == nil {

@@ -23,12 +23,11 @@
 // -keep-going runs every job past failures and renders failed cells as
 // ERR; -job-timeout bounds each job's wall-clock time; -stall-cycles arms
 // the in-simulator forward-progress watchdog; -check arms mid-run model
-// invariant verification on every simulation. -snapshot-every N (with
-// -results-dir) additionally writes a durable snapshot of every in-flight
-// simulation each N steps, so a killed sweep resumes even its interrupted
-// jobs mid-run instead of from cycle zero (see ROBUSTNESS.md, "Mid-run
-// snapshots"). SIGQUIT dumps live diagnostics — goroutine stacks, engine
-// stats, snapshot age — to stderr without stopping the sweep.
+// invariant verification on every simulation. Jobs in flight at the
+// signal are cancelled and rerun from zero by the next -resume; the
+// durable unit is the finished job. SIGQUIT dumps live diagnostics —
+// goroutine stacks and engine stats — to stderr without stopping the
+// sweep.
 //
 // Fault injection (see ROBUSTNESS.md, "Fault injection"): -chaos attaches
 // a deterministic fault schedule to the sweep's seams, e.g.
@@ -67,7 +66,6 @@ import (
 	"github.com/csalt-sim/csalt/internal/introspect"
 	"github.com/csalt-sim/csalt/internal/obs"
 	"github.com/csalt-sim/csalt/internal/sim"
-	"github.com/csalt-sim/csalt/internal/snapshot"
 )
 
 // Exit codes: usage/config errors are distinguishable from simulation
@@ -97,7 +95,6 @@ func main() {
 		keepGoing   = flag.Bool("keep-going", false, "run every job past failures; failed cells render as ERR and the exit code is still 1")
 		resultsDir  = flag.String("results-dir", "", "persist each completed result to an append-only store in this directory")
 		resume      = flag.Bool("resume", false, "replay completed results from -results-dir instead of re-simulating them")
-		snapEvery   = flag.Uint64("snapshot-every", 0, "with -results-dir: write a durable mid-run snapshot of every in-flight simulation each N steps, and resume interrupted jobs from their newest valid snapshot (0 = off; see ROBUSTNESS.md)")
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none); an overrunning job fails, the sweep continues per -keep-going")
 		stallCycles = flag.Uint64("stall-cycles", 10_000_000, "in-simulator watchdog: fail a job if no instruction retires for this many simulated cycles (0 = off)")
 		retries     = flag.Int("retries", 0, "bounded retries for transient job failures")
@@ -195,19 +192,6 @@ func main() {
 	eng.Runner.Retry = experiment.DefaultBackoff()
 	eng.Runner.CheckInvariants = *check
 
-	var snapDir string
-	if *snapEvery > 0 {
-		if *resultsDir == "" {
-			usageFail("-snapshot-every needs -results-dir")
-		}
-		if *attrOut != "" || *heatmapCSV != "" {
-			usageFail("-snapshot-every is incompatible with -attr-out/-heatmap-csv: the introspection plane carries state snapshots do not cover")
-		}
-		snapDir = filepath.Join(*resultsDir, "snapshots")
-		eng.Runner.SnapshotDir = snapDir
-		eng.Runner.SnapshotEvery = *snapEvery
-	}
-
 	var plane *faultinject.Plane
 	if *chaosSpec != "" {
 		sched, err := faultinject.Parse(*chaosSpec)
@@ -261,17 +245,7 @@ func main() {
 	// durable in the store, and the metrics/summary still flush below.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if snapDir != "" {
-		// A signal also drains the snapshot plane: every in-flight
-		// simulation writes a final snapshot at its next poll boundary
-		// (best effort — when cancellation wins the race at a boundary the
-		// job falls back to its last periodic snapshot).
-		go func() {
-			<-ctx.Done()
-			eng.Runner.SnapshotStopAll()
-		}()
-	}
-	watchSIGQUIT(eng, snapDir)
+	watchSIGQUIT(eng)
 
 	// One shared job pool for every requested experiment: baselines common
 	// to several figures (e.g. the POM-TLB runs of Figs. 7/8/10/11) are
@@ -286,9 +260,6 @@ func main() {
 	if plane != nil && plane.Fired() > 0 {
 		fmt.Fprintf(os.Stderr, "chaos: %d faults injected:\n%s", plane.Fired(),
 			indentLines(plane.LogString(), "  "))
-	}
-	if n := eng.Runner.Resumed(); n > 0 {
-		fmt.Fprintf(os.Stderr, "snapshots: %d job(s) resumed from mid-run snapshots\n", n)
 	}
 
 	flushMetrics := func() {
@@ -309,11 +280,6 @@ func main() {
 		flushMetrics()
 		if store != nil {
 			fmt.Fprintf(os.Stderr, "completed results saved; rerun with -results-dir %s -resume to continue\n", *resultsDir)
-		}
-		if snapDir != "" {
-			if info, err := snapshot.ScanDir(snapDir); err == nil && info.Snapshots > 0 {
-				fmt.Fprintf(os.Stderr, "snapshots: %d interrupted job(s) will resume mid-run\n", info.Snapshots)
-			}
 		}
 		os.Exit(exitInterrupted)
 	}
@@ -348,42 +314,28 @@ func main() {
 	}
 }
 
-// watchSIGQUIT dumps live diagnostics — engine throughput, snapshot
-// freshness, goroutine stacks — to stderr on every SIGQUIT, without
-// exiting, so a long sweep can be inspected in place.
-func watchSIGQUIT(eng *experiment.Engine, snapDir string) {
+// watchSIGQUIT dumps live diagnostics — engine throughput and goroutine
+// stacks — to stderr on every SIGQUIT, without exiting, so a long sweep
+// can be inspected in place.
+func watchSIGQUIT(eng *experiment.Engine) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGQUIT)
 	go func() {
 		for range ch {
-			obs.DumpDiagnostics(os.Stderr, "experiments", statusLines(eng, snapDir))
+			obs.DumpDiagnostics(os.Stderr, "experiments", statusLines(eng))
 		}
 	}()
 }
 
-// statusLines summarises the engine and snapshot plane for the SIGQUIT
-// diagnostics dump.
-func statusLines(eng *experiment.Engine, snapDir string) []string {
+// statusLines summarises the engine for the SIGQUIT diagnostics dump.
+func statusLines(eng *experiment.Engine) []string {
 	es := eng.Stats()
-	lines := []string{
+	return []string{
 		fmt.Sprintf("jobs: run=%d replayed=%d failed=%d skipped=%d",
 			es.JobsRun, es.JobsReplayed, es.JobsFailed, es.JobsSkipped),
 		fmt.Sprintf("sim: %d cycles, %d instructions (%.3g cycles/s)",
 			es.SimCycles, es.SimInstructions, es.CyclesPerSecond()),
 	}
-	if snapDir == "" {
-		return append(lines, "snapshots: off")
-	}
-	if last := eng.Runner.LastSnapshotTime(); last.IsZero() {
-		lines = append(lines, fmt.Sprintf("snapshots: none written yet (resumed=%d)", eng.Runner.Resumed()))
-	} else {
-		lines = append(lines, fmt.Sprintf("snapshots: last written %s ago (resumed=%d, write failures=%d)",
-			time.Since(last).Round(time.Millisecond), eng.Runner.Resumed(), eng.Runner.SnapshotWriteFailures()))
-	}
-	if info, err := snapshot.ScanDir(snapDir); err == nil {
-		lines = append(lines, fmt.Sprintf("snapshot dir: %d live, %d quarantined", info.Snapshots, info.Quarantined))
-	}
-	return lines
 }
 
 // runFsck is -fsck: diagnose a results store, repair what is safely

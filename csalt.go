@@ -111,27 +111,15 @@ type ManyOpts struct {
 	// addition to the cheap always-on end-of-run pass. A violated
 	// invariant fails that run with an invariant.Violation.
 	CheckInvariants bool
-	// SnapshotDir, when set, arms durable mid-run snapshots: each run
-	// periodically persists its complete simulator state into this
-	// directory (keyed by configuration), resumes from its newest valid
-	// snapshot when one exists, and removes it on completion. Resumed
-	// runs are byte-identical to uninterrupted ones; a damaged snapshot
-	// is quarantined and the run starts from zero (see ROBUSTNESS.md,
-	// "Mid-run snapshots").
-	SnapshotDir string
-	// SnapshotEvery is the snapshot cadence in simulation steps; 0
-	// selects a sensible default. Ignored without SnapshotDir.
-	SnapshotEvery uint64
 }
 
 // newRunner maps o onto the experiment job runner, which gives every run
-// panic isolation and the snapshot restore-or-quarantine path.
+// panic isolation: a simulator panic fails that run with an
+// experiment.PanicError instead of killing the process.
 func newRunner(o ManyOpts) *experiment.Runner {
 	r := experiment.NewRunner(experiment.Scale{})
 	r.StallLimit = o.StallLimitCycles
 	r.CheckInvariants = o.CheckInvariants
-	r.SnapshotDir = o.SnapshotDir
-	r.SnapshotEvery = o.SnapshotEvery
 	return r
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/csalt-sim/csalt/internal/mem"
-	"github.com/csalt-sim/csalt/internal/snapshot"
 )
 
 // FuzzCacheLayouts is the package-level differential test of the flat
@@ -159,25 +158,14 @@ func runLayouts(t *testing.T, shape uint32, ops []byte) {
 			p.ref.Flush()
 			p.flat.Flush()
 		case 11:
-			what = "SaveState→LoadState"
-			p.roundTrip(t)
+			// No operation, only the full comparison below. The slot stays
+			// so every other opcode keeps its number and the seed corpus
+			// its meaning.
+			what = "compare"
 		}
 		p.compare(t, i/3, what, p.ref.SetIndex(addr), ops[i]%12 >= 9)
 	}
 	p.compare(t, len(ops)/3, "end", 0, true)
-}
-
-// roundTrip replaces each cache with a fresh one of its layout restored
-// from its own snapshot.
-func (p *layoutPair) roundTrip(t *testing.T) {
-	t.Helper()
-	for _, c := range []**Cache{&p.ref, &p.flat} {
-		fresh := MustNew((*c).cfg)
-		if err := fresh.LoadState((*c).SaveState()); err != nil {
-			t.Fatalf("%s layout: LoadState: %v", layoutName(*c), err)
-		}
-		*c = fresh
-	}
 }
 
 // compare checks, after every op, the statistics, the profiler counters,
@@ -270,13 +258,6 @@ func cmpSeq(a, b uint64) int {
 	return 0
 }
 
-func layoutName(c *Cache) string {
-	if c.flat {
-		return "flat"
-	}
-	return "reference"
-}
-
 func panics(fn func()) (did bool) {
 	defer func() { did = recover() != nil }()
 	fn()
@@ -335,26 +316,5 @@ func TestFlatLRUAllocatesNoSequenceArray(t *testing.T) {
 	words := uint64(len(c.words)) * 8
 	if got := after.TotalAlloc - before.TotalAlloc; got > words+words/8 {
 		t.Fatalf("flat true-LRU L3 allocated %d bytes; its line words take %d", got, words)
-	}
-}
-
-// TestLoadStateRejectsWideStamps: a snapshot whose recency numbers or
-// line words cannot be packed into a flat word is refused, not truncated.
-func TestLoadStateRejectsWideStamps(t *testing.T) {
-	c := MustNew(Config{Name: "wide", SizeKB: 4, Ways: 4, Policy: PolicyLRU, Flat: true})
-	c.Fill(addrFor(0, 1), Data, true)
-	for name, damage := range map[string]func(st *snapshot.CacheState){
-		"seq":     func(st *snapshot.CacheState) { st.Policy.Seq[0] = stampLimit },
-		"counter": func(st *snapshot.CacheState) { st.Policy.Next = stampLimit + 1 },
-		"tag":     func(st *snapshot.CacheState) { st.Words[0] = packWord(tagLimit, Data, false) },
-	} {
-		st := c.SaveState()
-		damage(&st)
-		if err := MustNew(c.cfg).LoadState(st); err == nil {
-			t.Errorf("%s beyond the flat word loaded without error", name)
-		}
-	}
-	if err := MustNew(c.cfg).LoadState(c.SaveState()); err != nil {
-		t.Fatalf("undamaged snapshot: %v", err)
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"slices"
 	"sort"
 	"time"
 
@@ -42,11 +40,6 @@ const DefaultStallLimit = 200_000
 // DefaultJobTimeout bounds each job's wall clock; worker.stall injections
 // (which wedge a worker for a minute) must hit this deadline.
 const DefaultJobTimeout = time.Second
-
-// snapshotEvery is the mid-run snapshot cadence (in simulation steps) for
-// chaos runs: well under a micro job's length, so every job writes a few
-// snapshots and the snapshot.write / snapshot.restore seams see traffic.
-const snapshotEvery = 2_000
 
 // ExperimentID names the experiment the sweep runs; fig3 is the smallest
 // multi-job figure (five single-config jobs).
@@ -105,11 +98,9 @@ type RunReport struct {
 	TornTail bool     // resume found (and truncated) a torn store tail
 	Dir      string   // per-run store dir (only set with Options.Keep)
 
-	// The chaos phase's runner counters, so a point whose expected
-	// outcome is clean can be checked for its effect, not only for
-	// having fired.
-	Simulations           int // simulations started, retries included (Runner.NumRuns)
-	SnapshotWriteFailures int // mid-run snapshot writes that failed (Runner.SnapshotWriteFailures)
+	// The chaos phase's runner counter, so a point whose expected outcome
+	// is clean can be checked for its effect, not only for having fired.
+	Simulations int // simulations started, retries included (Runner.NumRuns)
 }
 
 // SweepReport aggregates a sweep.
@@ -289,18 +280,6 @@ func runOne(ctx context.Context, opts Options, exp experiment.Experiment,
 	defer store.Close()
 	eng := experiment.NewEngine(opts.Scale, opts.Workers)
 	eng.Runner.Store = store
-	// Interrupted jobs left mid-run snapshots behind; the resume restores
-	// from them and must still land on the golden bytes — except after a
-	// sim.corrupt injection, whose in-place state corruption is faithfully
-	// carried by any later snapshot (restoring one would just re-detect the
-	// injected violation), so those runs resume from zero. The run may
-	// have failed with another class before the corruption was audited
-	// (a store error, or a deadline on a slow host), so key on the firing,
-	// not on the class.
-	if !slices.Contains(run.Points, string(faultinject.SimCorrupt)) {
-		eng.Runner.SnapshotDir = filepath.Join(dir, "snapshots")
-		eng.Runner.SnapshotEvery = snapshotEvery
-	}
 	eng.Runner.StallLimit = DefaultStallLimit
 	table, err := eng.RunContext(ctx, exp)
 	if err != nil {
@@ -330,15 +309,12 @@ func chaosRun(ctx context.Context, opts Options, exp experiment.Experiment,
 	eng := experiment.NewEngine(opts.Scale, opts.Workers)
 	eng.Runner.Store = store
 	eng.Runner.Chaos = plane
-	eng.Runner.SnapshotDir = filepath.Join(dir, "snapshots")
-	eng.Runner.SnapshotEvery = snapshotEvery
 	eng.Runner.StallLimit = DefaultStallLimit
 	eng.Runner.MaxRetries = opts.Retries
 	eng.JobTimeout = opts.JobTimeout
 
 	table, runErr := eng.RunContext(ctx, exp)
 	run.Simulations = eng.Runner.NumRuns()
-	run.SnapshotWriteFailures = eng.Runner.SnapshotWriteFailures()
 	if runErr != nil {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("chaos run cancelled: %w", runErr)

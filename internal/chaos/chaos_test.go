@@ -82,14 +82,11 @@ func TestSweepOutcomeContractUnderParallelWorkers(t *testing.T) {
 // parallel, each with its own plane, store and engine. The store.torn row
 // also pins the full torn-write path: the tear fails the sweep with a
 // store-classified error, fsck flags the torn tail, and the resume
-// reproduces the golden bytes. Two of the clean-outcome rows are checked
-// for their effect as well, since firing alone proves nothing there:
-// job.transient:2 must cost exactly two extra simulations, and
-// snapshot.write must record exactly one failed write. snapshot.restore
-// has no such check: in the chaos phase its ordinal lands on a job whose
-// snapshot slot is still empty, so the quarantine has nothing to act on.
-// The seeded 100-schedule sweep (TestSeamCoverage) runs under the
-// chaossweep build tag.
+// reproduces the golden bytes. The clean-outcome row is checked for its
+// effect as well, since firing alone proves nothing there:
+// job.transient:2 must cost exactly two extra simulations. The seeded
+// 100-schedule sweep (TestSeamCoverage) runs under the chaossweep build
+// tag.
 //
 // The job deadline is not under test except in the worker.stall row, and
 // under the race detector a micro job takes seconds, so the default 1 s
@@ -108,8 +105,6 @@ func TestPointSchedules(t *testing.T) {
 		{"job.transient:2", "clean", ""},
 		{"sim.stall:1@8", "resumed", "stall"},
 		{"sim.corrupt:1@19", "resumed", "invariant"},
-		{"snapshot.write:1@6", "clean", ""},
-		{"snapshot.restore:1@4", "clean", ""},
 	}
 	largest := make(map[faultinject.Point]faultinject.Rule)
 	for seed := uint64(0); seed < 1000; seed++ {
@@ -164,10 +159,6 @@ func TestPointSchedules(t *testing.T) {
 				if want := fig3Jobs + rule.Count; r.Simulations != want {
 					t.Errorf("%d simulations, want %d (%d jobs + %d retries)",
 						r.Simulations, want, fig3Jobs, rule.Count)
-				}
-			case faultinject.SnapshotWrite:
-				if r.SnapshotWriteFailures != 1 {
-					t.Errorf("%d snapshot write failures, want 1", r.SnapshotWriteFailures)
 				}
 			}
 		})

@@ -22,7 +22,6 @@ func TestSeamCoverage(t *testing.T) {
 		"checkpoint.write", "checkpoint.fsync", "store.torn",
 		"job.panic", "job.transient", "worker.stall",
 		"sim.stall", "sim.corrupt",
-		"snapshot.write", "snapshot.restore",
 	} {
 		if rep.Coverage[pt] == 0 {
 			t.Errorf("seam %s never fired in 100 seeds\ncoverage:\n%s", pt, rep.CoverageString())

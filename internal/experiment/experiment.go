@@ -170,32 +170,17 @@ type Runner struct {
 	// conservation pass runs regardless.
 	CheckInvariants bool
 
-	// SnapshotDir, when set, arms durable mid-run snapshots on every
-	// locally simulated job: state is written to <dir>/<key>.snap on the
-	// SnapshotEvery cadence, interrupted jobs resume from the newest valid
-	// snapshot with byte-identical results, and damaged snapshots are
-	// quarantined with a clean from-zero fallback (see snapshot.go and
-	// ROBUSTNESS.md, "Mid-run snapshots").
-	SnapshotDir string
-	// SnapshotEvery is the snapshot cadence in simulation steps (memory
-	// references); 0 selects the sim package default.
-	SnapshotEvery uint64
-
 	// Simulate, when non-nil, replaces the local simulation datapath for
 	// configurations not resolved by the memo cache or checkpoint store.
 	// The engine's fault tests substitute a fake simulation here to inject
 	// failures.
 	Simulate func(ctx context.Context, cfg sim.Config) (*sim.Results, error)
 
-	mu        sync.Mutex
-	cache     map[sim.Config]*runEntry
-	failed    map[sim.Config]error
-	runs      int
-	replayed  int
-	resumed   int
-	live      map[*sim.System]struct{}
-	lastSnap  time.Time
-	snapFails int
+	mu       sync.Mutex
+	cache    map[sim.Config]*runEntry
+	failed   map[sim.Config]error
+	runs     int
+	replayed int
 }
 
 // PanicError is a worker panic converted into a per-job error: the
@@ -246,14 +231,6 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled)
 }
 
-// isInterruption extends isCancellation with the cooperative drain stop:
-// a job that wrote its drain snapshot and stopped did not fail — it is
-// waiting to be resumed — so it gets the same never-cached, never-masked
-// treatment as a cancellation.
-func isInterruption(err error) bool {
-	return isCancellation(err) || errors.Is(err, sim.ErrSnapshotStop)
-}
-
 // runEntry is one memo slot; done is closed once res/err are final.
 type runEntry struct {
 	done     chan struct{}
@@ -276,7 +253,7 @@ func (r *Runner) Run(cfg sim.Config) (*sim.Results, error) {
 // masks (non-cancellation) failures into poisoned results.
 func (r *Runner) RunContext(ctx context.Context, cfg sim.Config) (*sim.Results, error) {
 	res, _, err := r.run(ctx, cfg)
-	if err != nil && r.KeepGoing && !isInterruption(err) {
+	if err != nil && r.KeepGoing && !isCancellation(err) {
 		return sim.PoisonedResults(), nil
 	}
 	return res, err
@@ -305,10 +282,9 @@ func (r *Runner) run(ctx context.Context, cfg sim.Config) (*sim.Results, bool, e
 	e.res, e.replayed, e.err = r.simulate(ctx, cfg)
 	r.mu.Lock()
 	if e.err != nil {
-		if isInterruption(e.err) {
-			// The job didn't fail — it was interrupted (cancelled, or
-			// stopped at a drain snapshot). Evict the entry so a resume
-			// within this process re-simulates it.
+		if isCancellation(e.err) {
+			// The job didn't fail — it was interrupted. Evict the entry so
+			// a resume within this process re-simulates it.
 			delete(r.cache, cfg)
 		} else {
 			if r.failed == nil {
@@ -405,7 +381,7 @@ func (r *Runner) simulateOnce(ctx context.Context, cfg sim.Config) (res *sim.Res
 	if r.Simulate != nil {
 		return r.Simulate(ctx, cfg)
 	}
-	sys, err := r.buildOrRestore(cfg)
+	sys, err := sim.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -425,13 +401,7 @@ func (r *Runner) simulateOnce(ctx context.Context, cfg sim.Config) (res *sim.Res
 		// *PanicError).
 		defer r.ObserveDone(sys)
 	}
-	defer r.trackLive(sys)()
-	res, err = sys.RunContext(ctx)
-	if err == nil {
-		// The job is done; its mid-run snapshot is obsolete.
-		r.clearSnapshot(cfg)
-	}
-	return res, err
+	return sys.RunContext(ctx)
 }
 
 // chaosKey labels a job for fault-injection rule matching; the same

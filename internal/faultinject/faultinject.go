@@ -1,8 +1,8 @@
 // Package faultinject is the deterministic fault-injection plane behind
 // the -chaos / -chaos-sweep machinery: a parsed schedule of injection
 // rules plus a concurrency-safe Plane that the instrumented seams
-// (checkpoint store, experiment runner, sim run loop, snapshot plane)
-// consult at each injection point.
+// (checkpoint store, experiment runner, sim run loop) consult at each
+// injection point.
 //
 // Determinism is the design constraint. A firing decision depends only on
 // the schedule and on the rule's matching-call ordinal — never on
@@ -55,14 +55,6 @@ const (
 	// SimCorrupt corrupts a model counter mid-run so an invariant
 	// checker (internal/invariant) must catch it.
 	SimCorrupt Point = "sim.corrupt"
-	// SnapshotWrite fails a mid-run snapshot write before any byte lands;
-	// the run continues and the previous snapshot (if any) stays live, so
-	// an interrupted job falls back one boundary further.
-	SnapshotWrite Point = "snapshot.write"
-	// SnapshotRestore fails the restore of an existing snapshot as if it
-	// were unreadable; the job quarantines it and restarts from zero —
-	// results must still be byte-identical.
-	SnapshotRestore Point = "snapshot.restore"
 )
 
 // Rule is one clause of a schedule: fire at Point, for keys containing
@@ -122,7 +114,6 @@ var knownPoints = map[Point]bool{
 	StoreWrite: true, StoreTorn: true, StoreFsync: true,
 	JobPanic: true, JobTransient: true, WorkerStall: true,
 	SimStall: true, SimCorrupt: true,
-	SnapshotWrite: true, SnapshotRestore: true,
 }
 
 // Parse reads the schedule DSL: semicolon-separated `point:spec` clauses,
@@ -356,11 +347,6 @@ func Generate(seed uint64) Schedule {
 		// run either way, just a less interesting one).
 		func() Rule { return Rule{Point: SimStall, Nth: 1 + r.intn(8), Count: 1} },
 		func() Rule { return Rule{Point: SimCorrupt, Nth: 10 + r.intn(10), Count: 1} },
-		// Snapshot points: the harness snapshots each job a few times, so
-		// write ordinals span several jobs; the restore seam is consulted
-		// once per job start (and per retry), so small ordinals cover it.
-		func() Rule { return Rule{Point: SnapshotWrite, Nth: 1 + r.intn(6), Count: 1} },
-		func() Rule { return Rule{Point: SnapshotRestore, Nth: 1 + r.intn(4), Count: 1} },
 	}
 	n := 1 + r.intn(3)
 	var sched Schedule

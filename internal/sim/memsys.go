@@ -8,7 +8,6 @@ import (
 	"github.com/csalt-sim/csalt/internal/dram"
 	"github.com/csalt-sim/csalt/internal/introspect"
 	"github.com/csalt-sim/csalt/internal/mem"
-	"github.com/csalt-sim/csalt/internal/snapshot"
 	"github.com/csalt-sim/csalt/internal/stats"
 	"github.com/csalt-sim/csalt/internal/tlb"
 	"github.com/csalt-sim/csalt/internal/walker"
@@ -75,13 +74,6 @@ type memSystem struct {
 	vmByASID []*vmState
 
 	hostA *mem.FrameAllocator
-
-	// Demand-fault log for the snapshot plane: every post-construction
-	// first touch that allocated frames, in order. Armed by EnableSnapshots;
-	// replayed by RestoreSystem to reproduce the allocator sequence and
-	// page-table contents. Off (and empty) on unsnapshotted runs.
-	faultLog   []snapshot.Fault
-	faultLogOn bool
 
 	l2AccSinceScan uint64
 	l3AccSinceScan uint64

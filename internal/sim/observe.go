@@ -88,11 +88,7 @@ func (s *System) AttachObserver(o *obs.Observer) {
 				s.sampleEvery = 1
 			}
 		}
-		// A restored system carries the snapshot's mid-epoch baseline;
-		// re-anchoring would shift every subsequent sampler row.
-		if !s.restoredBase {
-			s.captureBase()
-		}
+		s.captureBase()
 	}
 }
 

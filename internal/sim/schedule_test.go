@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"github.com/csalt-sim/csalt/internal/cpu"
+	"github.com/csalt-sim/csalt/internal/mem"
+	"github.com/csalt-sim/csalt/internal/stats"
 	"github.com/csalt-sim/csalt/internal/trace"
 )
 
@@ -67,14 +69,34 @@ func warmScan(cores []*cpu.Core, warm uint64) (reached int, crossed bool) {
 	return reached, crossed
 }
 
-// setCore overwrites a core's clock and retired-reference count, as a
-// snapshot restore does.
-func setCore(t *testing.T, c *cpu.Core, cycle, refs uint64) {
+// clockScript is the translator and data path of FuzzSchedule's cores:
+// every translation blocks for exactly adv cycles and every data access
+// completes at once. With a base CPI of 0.01 and no non-memory
+// instructions, a Step then moves the core's clock by adv and nothing else
+// (the per-reference issue slot stays a fraction of a cycle for the few
+// steps a fuzz core takes).
+type clockScript struct{ adv uint64 }
+
+func (s *clockScript) Translate(now uint64, _ mem.VAddr, _ mem.ASID, _ int) (uint64, mem.PAddr, bool, error) {
+	return now + s.adv, 0, true, nil
+}
+
+func (s *clockScript) AccessData(now uint64, _ mem.PAddr, _ bool, _ int) uint64 { return now }
+
+// newScriptedCore builds a core over an endless scripted source, driven by
+// script.
+func newScriptedCore(id int, script *clockScript) *cpu.Core {
+	src := trace.NewLoopSource([]trace.Record{{Kind: trace.Store}})
+	return cpu.MustNew(cpu.Config{ID: id, CPIx100: 1}, []cpu.Context{{Source: src}}, script, script)
+}
+
+// stepBy steps c once, moving its clock by adv and its retired-reference
+// count by one.
+func stepBy(t *testing.T, c *cpu.Core, script *clockScript, adv uint64) {
 	t.Helper()
-	st := c.SaveState()
-	st.Cycle, st.MemRefs = cycle, refs
-	if err := c.LoadState(st); err != nil {
-		t.Fatal(err)
+	script.adv = adv
+	if ok, err := c.Step(); !ok || err != nil {
+		t.Fatalf("core %d step: ok %v, err %v", c.ID(), ok, err)
 	}
 }
 
@@ -93,10 +115,10 @@ func fuzzClock(b byte) uint64 {
 // and the batch-exit decision — on 1 to 8 cores whose clocks and reference
 // counts the input chooses, and checks each decision against the original
 // two-scan rule: the next core, the runner-up and its clock, whether the
-// batch goes on, and the warm-up count against the warm-up scan. Starting
-// the cores part-way through (some retired, some past warm-up) is how a
-// restored snapshot re-enters RunContext. The seed corpus runs in every
-// `go test`.
+// batch goes on, and the warm-up count against the warm-up scan. Each core
+// starts part-way through (some retired, some past warm-up): one step
+// moves its clock to the chosen value, then its reference counter is set.
+// The seed corpus runs in every `go test`.
 func FuzzSchedule(f *testing.F) {
 	// Input: cores, run length, warm-up, then two bytes per core (clock,
 	// references retired), then one clock increment per step.
@@ -122,10 +144,12 @@ func FuzzSchedule(f *testing.F) {
 			in = in[1:]
 			return b
 		}
+		script := &clockScript{}
 		cores := make([]*cpu.Core, n)
 		for i := range cores {
-			cores[i] = cpu.MustNew(cpu.Config{ID: i}, []cpu.Context{{Source: trace.NewSliceSource(nil)}}, nil, nil)
-			setCore(t, cores[i], fuzzClock(next()), uint64(next())%(target+1))
+			cores[i] = newScriptedCore(i, script)
+			stepBy(t, cores[i], script, fuzzClock(next()))
+			cores[i].Stats.MemRefs = stats.Counter(uint64(next()) % (target + 1))
 		}
 
 		sc := newSchedule(cores, target, warm)
@@ -155,7 +179,7 @@ func FuzzSchedule(f *testing.F) {
 			}
 			c := cores[ni]
 			for step := 0; ; step++ {
-				setCore(t, c, c.Cycle()+fuzzClock(next()), c.Stats.MemRefs.Value()+1)
+				stepBy(t, c, script, fuzzClock(next()))
 				keep := sc.stepped(ni, c, other, otherClock)
 				if ends := twoScanBatchEnds(c, ni, target, wantOther, wantOtherClock, haveOther); keep == ends {
 					t.Fatalf("batch %d step %d: core %d keeps the turn %v, two scans end the batch %v", batch, step, ni, keep, ends)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"path/filepath"
-	"sync/atomic"
 
 	"github.com/csalt-sim/csalt/internal/cpu"
 	"github.com/csalt-sim/csalt/internal/introspect"
@@ -49,17 +48,6 @@ type System struct {
 	intro       *introspect.Plane
 	introRefs   uint64
 	introChecks []introCheck
-
-	// Snapshot plane (inert unless EnableSnapshots was called). warmed is
-	// run-loop state promoted to a field so a restored system resumes on
-	// the correct side of the warmup boundary; restoredBase keeps
-	// AttachObserver from re-anchoring a restored sampler baseline.
-	snapSink     SnapshotSink
-	snapEvery    uint64
-	sinceSnap    uint64
-	snapStop     atomic.Bool
-	warmed       bool
-	restoredBase bool
 
 	// Forward-progress watchdog (disabled unless SetStallLimit was called).
 	dog watchdog
@@ -175,8 +163,8 @@ func (s *System) Run() (*Results, error) {
 func (s *System) RunContext(ctx context.Context) (*Results, error) {
 	target := s.cfg.MaxRefsPerCore
 	warm := s.cfg.WarmupRefs
-	if !s.warmed && warm == 0 {
-		s.warmed = true
+	warmed := warm == 0
+	if warmed {
 		s.takeSnaps()
 	}
 
@@ -195,15 +183,6 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 			if sinceCheck >= checkEvery {
 				sinceCheck = 0
 				if err := ctx.Err(); err != nil {
-					// A cancellation racing a requested snapshot-drain still
-					// gets its final snapshot: the state at this boundary is
-					// exactly what a restore needs, and callers treat
-					// ErrSnapshotStop like a cancellation.
-					if s.snapSink != nil && s.snapStop.Load() {
-						if werr := s.writeSnapshot(); werr == nil {
-							return nil, ErrSnapshotStop
-						}
-					}
 					return nil, fmt.Errorf("sim: run cancelled: %w", err)
 				}
 				if err := s.checkStall(); err != nil {
@@ -211,24 +190,6 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 				}
 				if err := s.checkPeriodic(); err != nil {
 					return nil, err
-				}
-				if s.snapSink != nil {
-					// The poll boundary is schedule-safe: the clock array
-					// rebuilt at entry after a restore picks the same next
-					// core the batch loop would have (see snapshot.go), so
-					// nothing about taking a snapshot here perturbs the
-					// simulated schedule.
-					stop := s.snapStop.Load()
-					s.sinceSnap += checkEvery
-					if stop || s.sinceSnap >= s.snapEvery {
-						s.sinceSnap = 0
-						if err := s.writeSnapshot(); err != nil {
-							return nil, err
-						}
-						if stop {
-							return nil, ErrSnapshotStop
-						}
-					}
 				}
 			}
 			ok, err := next.Step()
@@ -253,8 +214,8 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 				}
 			}
 			keep := sc.stepped(ni, next, other, otherClock)
-			if !s.warmed && sc.reached == len(s.cores) {
-				s.warmed = true
+			if !warmed && sc.reached == len(s.cores) {
+				warmed = true
 				s.mem.resetStats()
 				if s.intro != nil {
 					// The component counters under the probes just
@@ -293,9 +254,9 @@ const retiredClock = ^uint64(0)
 
 // schedule is the run loop's view of the cores: a packed copy of their
 // clocks, one slot per core, and how many cores have reached the warm-up
-// boundary. RunContext rebuilds it from the cores at every entry, since
-// perfbench swaps cores in after New and a restored snapshot re-enters
-// with advanced clocks; after that only the stepped core's slot changes.
+// boundary. RunContext builds it from the cores at entry, since perfbench
+// swaps cores in after New; after that only the stepped core's slot
+// changes.
 type schedule struct {
 	clocks       []uint64
 	target, warm uint64 // MaxRefsPerCore, WarmupRefs

@@ -5,7 +5,6 @@ import (
 
 	"github.com/csalt-sim/csalt/internal/cache"
 	"github.com/csalt-sim/csalt/internal/mem"
-	"github.com/csalt-sim/csalt/internal/snapshot"
 	"github.com/csalt-sim/csalt/internal/tlb"
 	"github.com/csalt-sim/csalt/internal/walker"
 )
@@ -82,12 +81,8 @@ func (m *memSystem) Translate(now uint64, v mem.VAddr, asid mem.ASID, coreID int
 // mapped page, so a reference to an unmapped page misses all of them and
 // reaches a walk. TestNoPrewarmGolden pins the resulting fault order.
 func (m *memSystem) walk(t uint64, v mem.VAddr, asid mem.ASID, coreID int) (walker.Result, error) {
-	_, created, err := m.vmByASID[asid].ensureMapped(v)
-	if err != nil {
+	if _, _, err := m.vmByASID[asid].ensureMapped(v); err != nil {
 		return walker.Result{}, err
-	}
-	if created && m.faultLogOn {
-		m.faultLog = append(m.faultLog, snapshot.Fault{ASID: uint16(asid), Addr: uint64(v)})
 	}
 	res, err := m.walkers[coreID].Walk(t, v, asid)
 	if err != nil {

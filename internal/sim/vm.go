@@ -113,8 +113,8 @@ func (pm pageMapping) guestPage(v mem.VAddr) mem.PAddr {
 // to the pipeline. Returns true if a new page was mapped, with the mapping
 // it installed; an already-mapped page returns false and a zero mapping
 // (resolve walks the tables for it). It runs in memSystem.walk, just
-// before every table walk, and at set-up for prewarm and fault-log replay;
-// both engines share this one mapping path. Each table is walked once per
+// before every table walk, and at set-up for prewarm; both engines share
+// this one mapping path. Each table is walked once per
 // call: MapIfAbsent finds a mapped page or maps a new one in the same walk.
 func (vm *vmState) ensureMapped(v mem.VAddr) (pageMapping, bool, error) {
 	if !vm.space.Virtualized() {

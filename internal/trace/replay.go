@@ -64,19 +64,6 @@ func (r *Replay) Len() int { return len(r.recs) }
 // Pages returns the number of distinct 4K pages the trace touches.
 func (r *Replay) Pages() int { return len(r.pages) }
 
-// Pos returns the replay cursor (the index of the next record), the only
-// mutable state a Replay carries; the snapshot/restore plane serializes it.
-func (r *Replay) Pos() int { return r.pos }
-
-// SetPos restores the replay cursor.
-func (r *Replay) SetPos(pos int) error {
-	if pos < 0 || pos >= len(r.recs) {
-		return fmt.Errorf("trace: replay position %d outside [0,%d)", pos, len(r.recs))
-	}
-	r.pos = pos
-	return nil
-}
-
 // Next implements Source; the trace loops endlessly.
 func (r *Replay) Next() (Record, bool) {
 	rec := r.recs[r.pos]
