@@ -29,15 +29,6 @@
 // goroutine stacks and engine stats — to stderr without stopping the
 // sweep.
 //
-// Fault injection (see ROBUSTNESS.md, "Fault injection"): -chaos attaches
-// a deterministic fault schedule to the sweep's seams, e.g.
-//
-//	experiments -run fig3 -scale tiny -results-dir out -chaos "checkpoint.write:err@3;job.panic:gups"
-//
-// and -chaos-sweep N runs the self-checking harness: N seeded schedules
-// against a tiny fig3 sweep, each required to end clean or to fail
-// classified and resume to byte-identical tables.
-//
 // -fsck (with -results-dir) checks and repairs a results store in place:
 // it truncates a torn tail and compacts duplicate records.
 //
@@ -59,10 +50,8 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/csalt-sim/csalt/internal/chaos"
 	"github.com/csalt-sim/csalt/internal/checkpoint"
 	"github.com/csalt-sim/csalt/internal/experiment"
-	"github.com/csalt-sim/csalt/internal/faultinject"
 	"github.com/csalt-sim/csalt/internal/introspect"
 	"github.com/csalt-sim/csalt/internal/obs"
 	"github.com/csalt-sim/csalt/internal/sim"
@@ -97,11 +86,7 @@ func main() {
 		resume      = flag.Bool("resume", false, "replay completed results from -results-dir instead of re-simulating them")
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none); an overrunning job fails, the sweep continues per -keep-going")
 		stallCycles = flag.Uint64("stall-cycles", 10_000_000, "in-simulator watchdog: fail a job if no instruction retires for this many simulated cycles (0 = off)")
-		retries     = flag.Int("retries", 0, "bounded retries for transient job failures")
 		check       = flag.Bool("check", false, "arm mid-run model invariant checking on every simulation (the cheap end-of-run pass always runs)")
-		chaosSpec   = flag.String("chaos", "", "deterministic fault-injection schedule, e.g. 'checkpoint.write:err@3;job.panic:gups' (see ROBUSTNESS.md)")
-		chaosSweep  = flag.Int("chaos-sweep", 0, "run the chaos harness: this many seeded fault schedules against a tiny fig3 sweep")
-		chaosSeed   = flag.Uint64("chaos-seed", 1, "base seed for -chaos-sweep schedules")
 		attrOut     = flag.String("attr-out", "", "attach the cycle/miss-attribution plane to every simulation and write per-configuration reports (JSON) into this directory")
 		heatmapCSV  = flag.String("heatmap-csv", "", "write each simulation's per-set occupancy/contention heatmaps (CSV) into this directory")
 		fsck        = flag.Bool("fsck", false, "check the -results-dir store: report and repair a torn tail (crash mid-append) and compact duplicate records")
@@ -134,11 +119,6 @@ func main() {
 			usageFail("-fsck needs -results-dir")
 		}
 		runFsck(*resultsDir)
-		return
-	}
-
-	if *chaosSweep > 0 {
-		runChaosSweep(*chaosSweep, *chaosSeed, *chaosSpec, *parallel)
 		return
 	}
 
@@ -188,19 +168,7 @@ func main() {
 	eng.KeepGoing = *keepGoing
 	eng.JobTimeout = *jobTimeout
 	eng.Runner.StallLimit = *stallCycles
-	eng.Runner.MaxRetries = *retries
-	eng.Runner.Retry = experiment.DefaultBackoff()
 	eng.Runner.CheckInvariants = *check
-
-	var plane *faultinject.Plane
-	if *chaosSpec != "" {
-		sched, err := faultinject.Parse(*chaosSpec)
-		if err != nil {
-			usageFail("%v", err)
-		}
-		plane = faultinject.New(sched)
-		eng.Runner.Chaos = plane
-	}
 
 	var store *checkpoint.Store
 	if *resultsDir != "" {
@@ -223,7 +191,6 @@ func main() {
 		}
 		defer store.Close()
 		eng.Runner.Store = store
-		store.SetChaos(plane)
 		if *resume && store.Replayed() > 0 {
 			fmt.Fprintf(os.Stderr, "resuming: %d completed results on record\n", store.Replayed())
 		}
@@ -256,11 +223,6 @@ func main() {
 	execErr := eng.ExecuteContext(ctx, jobs)
 	rep.clear()
 	simElapsed := time.Since(start)
-
-	if plane != nil && plane.Fired() > 0 {
-		fmt.Fprintf(os.Stderr, "chaos: %d faults injected:\n%s", plane.Fired(),
-			indentLines(plane.LogString(), "  "))
-	}
 
 	flushMetrics := func() {
 		if *metricsOut == "" {
@@ -375,53 +337,11 @@ func runFsck(dir string) {
 	fmt.Printf("  repaired: %d duplicate records removed, %d live records kept\n", removed, store.Len())
 }
 
-// runChaosSweep executes the self-checking fault-injection harness and
-// exits: 0 when every schedule lands in an allowed outcome, 1 on any
-// contract violation (an unclassifiable failure, a table that diverged
-// from the chaos-free golden bytes, a resume that could not reproduce
-// them).
-func runChaosSweep(runs int, seed uint64, spec string, parallel int) {
-	opts := chaos.Options{
-		Seed:    seed,
-		Runs:    runs,
-		Workers: parallel,
-		Log:     os.Stderr,
-	}
-	if spec != "" {
-		sched, err := faultinject.Parse(spec)
-		if err != nil {
-			usageFail("%v", err)
-		}
-		opts.Schedule = sched
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	rep, err := chaos.Sweep(ctx, opts)
-	if rep != nil {
-		fmt.Printf("chaos sweep: %d runs (%d clean, %d failed-and-resumed)\n",
-			len(rep.Runs), rep.Clean, rep.Resumed)
-		if len(rep.Classes) > 0 {
-			fmt.Printf("failure classes: %v\n", rep.Classes)
-		}
-		fmt.Printf("seam coverage (runs in which each point fired):\n%s", indentLines(rep.CoverageString(), "  "))
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "interrupted: %v\n", err)
-		os.Exit(exitInterrupted)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos sweep FAILED: %v\n", err)
-		os.Exit(exitSimFailure)
-	}
-}
-
 // attachAttribution wires an introspection plane onto every simulated
 // system and, when each run finishes, writes its attribution report and
 // heatmaps into the given directories — one file per configuration,
-// named <mix>_<org>_<scheme> like the chaos-plane job keys. Attribution
-// is passive, so observed results still hit the memo cache and match
-// unobserved runs byte for byte.
+// named <mix>_<org>_<scheme>. Attribution is passive, so observed results
+// still hit the memo cache and match unobserved runs byte for byte.
 func attachAttribution(r *experiment.Runner, attrDir, heatDir string) error {
 	for _, dir := range []string{attrDir, heatDir} {
 		if dir != "" {
@@ -463,15 +383,6 @@ func writeAttrFile(path string, write func(io.Writer) error) {
 		fmt.Fprintf(os.Stderr, "attribution: writing %s: %v\n", path, err)
 	}
 	f.Close()
-}
-
-// indentLines prefixes every non-empty line, for block-quoted stderr dumps.
-func indentLines(s, prefix string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, l := range lines {
-		lines[i] = prefix + l
-	}
-	return strings.Join(lines, "\n") + "\n"
 }
 
 // renderPartialTables prints every requested table whose full job list

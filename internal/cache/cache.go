@@ -577,7 +577,7 @@ func (c *Cache) CheckStructure() string {
 
 // CorruptPartitionForTest forces an out-of-range partition value,
 // bypassing SetPartition's clamping — the seeded bug the invariant layer
-// must catch. Tests and the sim.corrupt chaos point use it.
+// must catch. Tests use it.
 func (c *Cache) CorruptPartitionForTest() { c.partition = c.ways + 1 }
 
 // Flush invalidates every line (used between experiment phases); dirty

@@ -18,14 +18,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
-
-	"github.com/csalt-sim/csalt/internal/faultinject"
 )
 
 // Schema identifies the record layout; bump Version whenever the meaning
@@ -51,24 +49,34 @@ type record struct {
 	Value json.RawMessage `json:"value"`
 }
 
+// file is the part of *os.File the store uses. The package's tests
+// substitute one whose Write or Sync fails, to drive the append path's
+// failure branches.
+type file interface {
+	io.ReadWriteCloser
+	Seek(offset int64, whence int) (int64, error)
+	Stat() (os.FileInfo, error)
+	Sync() error
+	Truncate(size int64) error
+}
+
 // Store is an append-only key → JSON-value checkpoint log. It is safe for
 // concurrent use: Put serializes appends under a mutex and Lookup reads an
 // in-memory index replayed at Open.
 type Store struct {
 	mu       sync.Mutex
-	f        *os.File
+	f        file
 	path     string
 	entries  map[string]json.RawMessage
 	loaded   int   // records replayed from disk at Open
 	appended int   // records appended since Open
 	good     int64 // bytes of the file known to end on a record boundary
 	dirty    bool  // a failed append may have left partial bytes past good
-	chaos    *faultinject.Plane
 }
 
 // StoreError is an append-path failure with full provenance: which
-// operation failed, on which store file, for which record key. Sweep
-// harnesses classify job failures on it (errors.As).
+// operation failed, on which store file, for which record key. Callers
+// match it with errors.As.
 type StoreError struct {
 	Op   string // "append", "sync"
 	Path string
@@ -183,9 +191,7 @@ func (s *Store) replay() error {
 // writeLine appends v as one JSON line in a single Write call and syncs.
 // Every failure is wrapped in a *StoreError carrying the store path and
 // the record key, so a sweep's error output names the file and record
-// that lost durability — not just "sync failed". The fault-injection
-// plane, when attached, can fail the write, tear it mid-record, or fail
-// the sync (see ROBUSTNESS.md, "Fault injection").
+// that lost durability — not just "sync failed".
 func (s *Store) writeLine(key string, v interface{}) error {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -207,43 +213,21 @@ func (s *Store) writeLine(key string, v interface{}) error {
 		}
 		s.dirty = false
 	}
-	if _, fire := s.chaos.Fire(faultinject.StoreWrite, key); fire {
-		return &StoreError{Op: "append", Path: s.path, Key: key, Err: errors.New("injected write failure")}
-	}
-	if _, fire := s.chaos.Fire(faultinject.StoreTorn, key); fire {
-		// A torn write is a crash mid-append: half the record reaches the
-		// file. Write it for real — resume must truncate it — and fail.
-		s.dirty = true
-		if _, err := s.f.Write(line[:len(line)/2]); err != nil {
-			return &StoreError{Op: "append", Path: s.path, Key: key, Err: err}
-		}
-		return &StoreError{Op: "append", Path: s.path, Key: key, Err: errors.New("injected torn write")}
-	}
 	if _, err := s.f.Write(line); err != nil {
+		// A failed write may still have passed part of the record to the
+		// file, as a crash mid-append does.
 		s.dirty = true
 		return &StoreError{Op: "append", Path: s.path, Key: key, Err: err}
 	}
-	if _, fire := s.chaos.Fire(faultinject.StoreFsync, key); fire {
-		// The bytes are intact but their durability is unknown; treating
+	if err := s.f.Sync(); err != nil {
+		// The bytes may be intact but their durability is unknown; treating
 		// the append as failed means the next write must re-establish the
 		// boundary, so the unacknowledged record is truncated too.
-		s.dirty = true
-		return &StoreError{Op: "sync", Path: s.path, Key: key, Err: errors.New("injected fsync failure")}
-	}
-	if err := s.f.Sync(); err != nil {
 		s.dirty = true
 		return &StoreError{Op: "sync", Path: s.path, Key: key, Err: err}
 	}
 	s.good += int64(len(line))
 	return nil
-}
-
-// SetChaos attaches a fault-injection plane to the append path; nil
-// detaches. Call before the sweep starts.
-func (s *Store) SetChaos(p *faultinject.Plane) {
-	s.mu.Lock()
-	s.chaos = p
-	s.mu.Unlock()
 }
 
 // Put durably appends one completed result under key. Re-putting a key

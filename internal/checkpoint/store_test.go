@@ -295,3 +295,65 @@ func TestCompactNoDuplicatesIsNoop(t *testing.T) {
 		t.Fatalf("Compact on clean store: removed=%d err=%v, want 0 nil", removed, err)
 	}
 }
+
+func TestFsckCleanStore(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("a", 1)
+	s.Put("b", 2)
+	s.Close()
+	rep, err := Fsck(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Records != 2 || rep.TornTail != 0 {
+		t.Errorf("fsck = %+v", rep)
+	}
+}
+
+func TestFsckDetectsMidFileCorruption(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put("a", 1)
+	s.Put("b", 2)
+	s.Close()
+
+	// Garbage a middle line: an intact record after damage is corruption a
+	// single crash cannot produce.
+	path := filepath.Join(dir, FileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("store has %d lines", len(lines))
+	}
+	lines[1] = lines[1][:len(lines[1])/2]
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fsck(dir); err == nil || !strings.Contains(err.Error(), "corrupt store") {
+		t.Errorf("mid-file corruption not detected: %v", err)
+	}
+}
+
+func TestFsckRejectsForeignHeader(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, FileName)
+	if err := os.WriteFile(path, []byte(`{"schema":"other","version":9}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fsck(dir); err == nil {
+		t.Error("foreign header accepted")
+	}
+	if _, err := Fsck(t.TempDir()); err == nil {
+		t.Error("missing store accepted")
+	}
+}

@@ -341,13 +341,8 @@ func (e *Engine) runJob(ctx context.Context, j Job, total int, start time.Time,
 // KeepGoing a table may be returned alongside a non-nil joined error, with
 // cells derived from failed jobs marked ERR.
 func (e *Engine) Run(exp Experiment) (*stats.Table, error) {
-	return e.RunContext(context.Background(), exp)
-}
-
-// RunContext is Run with cooperative cancellation.
-func (e *Engine) RunContext(ctx context.Context, exp Experiment) (*stats.Table, error) {
-	execErr := e.ExecuteContext(ctx, e.Jobs(exp))
-	if execErr != nil && (!e.KeepGoing || ctx.Err() != nil) {
+	execErr := e.Execute(e.Jobs(exp))
+	if execErr != nil && !e.KeepGoing {
 		return nil, execErr
 	}
 	t, err := exp.Run(e.Runner)

@@ -19,10 +19,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/csalt-sim/csalt/internal/checkpoint"
-	"github.com/csalt-sim/csalt/internal/faultinject"
 	"github.com/csalt-sim/csalt/internal/sim"
 	"github.com/csalt-sim/csalt/internal/stats"
 )
@@ -149,22 +147,6 @@ type Runner struct {
 	// masked.
 	KeepGoing bool
 
-	// MaxRetries bounds retry-with-backoff for transient job failures
-	// (errors satisfying IsTransient). The default 0 disables retries;
-	// deterministic simulation errors are never retried regardless.
-	MaxRetries int
-	// Retry shapes the delay between transient-failure attempts: capped
-	// exponential backoff (see Backoff). The zero value retries
-	// immediately.
-	Retry Backoff
-
-	// Chaos, when non-nil, attaches the deterministic fault-injection
-	// plane: scheduled worker panics, transient failures and worker
-	// stalls fire inside simulateOnce, and the plane rides into each
-	// system for the sim.stall / sim.corrupt points. Job keys are
-	// "<mix>/<org>/<scheme>" (see ROBUSTNESS.md, "Fault injection").
-	Chaos *faultinject.Plane
-
 	// CheckInvariants arms mid-run periodic invariant checking on every
 	// system built by this runner (the -check flag); the cheap end-of-run
 	// conservation pass runs regardless.
@@ -193,35 +175,6 @@ type PanicError struct {
 // Error renders the panic headline plus the captured stack.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("simulation panicked: %v\n%s", e.Value, e.Stack)
-}
-
-// TransientError marks a failure as transient: the runner's bounded
-// retry-with-backoff applies only to errors wrapped in (or implementing
-// the same Transient() contract as) this type. Simulator determinism means
-// genuine model errors never qualify; the class exists for environmental
-// failures (I/O around the checkpoint store, future remote backends).
-type TransientError struct{ Err error }
-
-// Error reports the wrapped failure.
-func (e *TransientError) Error() string { return "transient: " + e.Err.Error() }
-
-// Unwrap exposes the cause to errors.Is/As.
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// Transient reports retryability; satisfies the IsTransient contract.
-func (e *TransientError) Transient() bool { return true }
-
-// IsTransient reports whether err is marked retryable anywhere along its
-// Unwrap chain. Deadline expiry is categorically non-transient, even when
-// a Transient marker appears in the same chain: a job that exhausted its
-// wall-clock budget would do it again on retry, doubling the budget the
-// -job-timeout flag was supposed to cap.
-func IsTransient(err error) bool {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
 }
 
 // isCancellation reports whether err is a pure context cancellation —
@@ -299,9 +252,8 @@ func (r *Runner) run(ctx context.Context, cfg sim.Config) (*sim.Results, bool, e
 }
 
 // simulate resolves one configuration: checkpoint-store replay when
-// available, otherwise a fresh simulation with bounded retries for
-// transient failures, persisting the result on success. The bool reports
-// a store replay.
+// available, otherwise a fresh simulation, persisting the result on
+// success. The bool reports a store replay.
 func (r *Runner) simulate(ctx context.Context, cfg sim.Config) (*sim.Results, bool, error) {
 	var key string
 	if r.Store != nil {
@@ -321,30 +273,16 @@ func (r *Runner) simulate(ctx context.Context, cfg sim.Config) (*sim.Results, bo
 		}
 	}
 
-	var err error
-	for attempt := 0; ; attempt++ {
-		var res *sim.Results
-		res, err = r.simulateOnce(ctx, cfg)
-		if err == nil {
-			if r.Store != nil {
-				if perr := r.Store.Put(key, res); perr != nil {
-					return nil, false, perr
-				}
-			}
-			return res, false, nil
-		}
-		if attempt >= r.MaxRetries || !IsTransient(err) || ctx.Err() != nil {
-			break
-		}
-		if backoff := r.Retry.Delay(attempt); backoff > 0 {
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return nil, false, fmt.Errorf("experiment: cancelled during retry backoff: %w", ctx.Err())
-			}
+	res, err := r.simulateOnce(ctx, cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	if r.Store != nil {
+		if err := r.Store.Put(key, res); err != nil {
+			return nil, false, err
 		}
 	}
-	return nil, false, err
+	return res, false, nil
 }
 
 // simulateOnce builds and runs one fresh system, attaching the observer
@@ -360,24 +298,6 @@ func (r *Runner) simulateOnce(ctx context.Context, cfg sim.Config) (res *sim.Res
 	r.mu.Lock()
 	r.runs++
 	r.mu.Unlock()
-	key := chaosKey(cfg)
-	if f, ok := r.Chaos.Fire(faultinject.JobPanic, key); ok {
-		panic(fmt.Sprintf("chaos: injected worker panic (%s)", f))
-	}
-	if f, ok := r.Chaos.Fire(faultinject.JobTransient, key); ok {
-		return nil, &TransientError{Err: fmt.Errorf("chaos: injected transient failure (%s)", f)}
-	}
-	if f, ok := r.Chaos.Fire(faultinject.WorkerStall, key); ok {
-		// Model a wedged worker: hold the job for the injected duration. A
-		// stall outlasting the per-job deadline must trip the -job-timeout
-		// watchdog; a shorter one is just a slow worker and the job
-		// proceeds normally.
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("experiment: stalled job %s cancelled (%s): %w", key, f, ctx.Err())
-		case <-time.After(f.Dur):
-		}
-	}
 	if r.Simulate != nil {
 		return r.Simulate(ctx, cfg)
 	}
@@ -391,7 +311,6 @@ func (r *Runner) simulateOnce(ctx context.Context, cfg sim.Config) (res *sim.Res
 	if r.CheckInvariants {
 		sys.EnableInvariantChecks(0)
 	}
-	sys.SetChaos(r.Chaos, key)
 	if r.Observe != nil {
 		r.Observe(sys)
 	}
@@ -402,12 +321,6 @@ func (r *Runner) simulateOnce(ctx context.Context, cfg sim.Config) (res *sim.Res
 		defer r.ObserveDone(sys)
 	}
 	return sys.RunContext(ctx)
-}
-
-// chaosKey labels a job for fault-injection rule matching; the same
-// string appears in firing logs and ROBUSTNESS.md examples.
-func chaosKey(cfg sim.Config) string {
-	return fmt.Sprintf("%s/%s/%s", cfg.Mix.ID, cfg.Org, cfg.Scheme)
 }
 
 // trimStack captures the current goroutine stack, truncated to a readable

@@ -1,21 +1,24 @@
 package experiment
 
 // Fault-injection tests for the robustness layer: panic isolation,
-// cancellation, per-job deadlines, transient retries, keep-going ERR
-// rendering, and kill/resume determinism against the checkpoint store.
-// Faults are injected through the Runner's Simulate so each test
-// controls exactly which configuration misbehaves and how.
+// cancellation, per-job deadlines, keep-going ERR rendering, invariant
+// violations, and kill/resume determinism against the checkpoint store.
+// Faults are injected through the Runner's Simulate or Observe hooks so
+// each test controls exactly which configuration misbehaves and how.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/csalt-sim/csalt/internal/checkpoint"
+	"github.com/csalt-sim/csalt/internal/invariant"
 	"github.com/csalt-sim/csalt/internal/sim"
 )
 
@@ -164,30 +167,9 @@ func TestJobTimeoutFailsOverrunningJob(t *testing.T) {
 	}
 }
 
-func TestTransientRetrySucceeds(t *testing.T) {
-	var calls atomic.Int32
-	r := NewRunner(microScale)
-	r.MaxRetries = 2
-	r.Retry = Backoff{Base: time.Millisecond}
-	r.Simulate = func(_ context.Context, _ sim.Config) (*sim.Results, error) {
-		if calls.Add(1) <= 2 {
-			return nil, &TransientError{Err: errors.New("flaky backend")}
-		}
-		return okResults(), nil
-	}
-	res, err := r.Run(microScale.BaseConfig())
-	if err != nil {
-		t.Fatalf("job failed despite retry budget: %v", err)
-	}
-	if res == nil || calls.Load() != 3 {
-		t.Errorf("want 3 attempts (2 transient failures + success), got %d", calls.Load())
-	}
-}
-
 func TestDeterministicErrorNotRetried(t *testing.T) {
 	var calls atomic.Int32
 	r := NewRunner(microScale)
-	r.MaxRetries = 3
 	r.Simulate = func(_ context.Context, _ sim.Config) (*sim.Results, error) {
 		calls.Add(1)
 		return nil, errors.New("deterministic model error")
@@ -196,7 +178,7 @@ func TestDeterministicErrorNotRetried(t *testing.T) {
 		t.Fatal("error swallowed")
 	}
 	if calls.Load() != 1 {
-		t.Errorf("non-transient error retried %d times", calls.Load()-1)
+		t.Errorf("failed job retried %d times", calls.Load()-1)
 	}
 }
 
@@ -259,6 +241,33 @@ func TestKillResumeByteIdenticalTables(t *testing.T) {
 		t.Fatalf("kill landed too late: %d of %d jobs persisted", durable, total)
 	}
 
+	// The kill lands mid-append: the store ends in the first half of one
+	// more record, as a crash between a record's bytes leaves it.
+	path := filepath.Join(dir, checkpoint.FileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+	last := lines[len(lines)-1]
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(last[:len(last)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fsck, err := checkpoint.Fsck(dir)
+	if err != nil {
+		t.Fatalf("fsck of the killed sweep's store: %v", err)
+	}
+	if fsck.TornTail == 0 || fsck.Records != durable {
+		t.Fatalf("fsck = %+v, want %d records and a torn tail", fsck, durable)
+	}
+
 	// Resume: a fresh engine (fresh process stand-in) over the same store.
 	store2, err := checkpoint.Open(dir, true)
 	if err != nil {
@@ -280,6 +289,11 @@ func TestKillResumeByteIdenticalTables(t *testing.T) {
 	}
 	if n := resumed.Runner.NumRuns(); n != total-durable {
 		t.Errorf("resumed sweep simulated %d jobs, want only the %d unfinished", n, total-durable)
+	}
+	// The resume cut the torn tail before appending: every job is on
+	// record and the store ends on a record boundary.
+	if fsck, err := store2.Fsck(); err != nil || fsck.TornTail != 0 || fsck.Records != total {
+		t.Errorf("fsck after resume = %+v, %v; want %d records and no torn tail", fsck, err, total)
 	}
 }
 
@@ -323,5 +337,61 @@ func TestKeepGoingRendersERRCells(t *testing.T) {
 	}
 	if es := eng.Stats(); es.JobsFailed != 1 {
 		t.Errorf("JobsFailed = %d, want 1", es.JobsFailed)
+	}
+}
+
+// An invariant violation under KeepGoing must poison exactly the
+// corrupted configuration's cells: the table renders with ERR where the
+// violating run's numbers would be, healthy rows intact, and the recorded
+// failure is the Violation. With no warm-up, no stats reset wipes the
+// counter the Observe hook bumps before the run.
+func TestInvariantViolationRendersAsErrCell(t *testing.T) {
+	scale := microScale
+	scale.Warmup = 0
+	exp, ok := ByID("fig3")
+	if !ok {
+		t.Fatal("fig3 not registered")
+	}
+	bad := exp.Jobs(scale)[1]
+	eng := NewEngine(scale, 1)
+	eng.KeepGoing = true
+	eng.Runner.Observe = func(sys *sim.System) {
+		if sys.Config() == bad {
+			sys.CorruptForTest("tlb-counter")
+		}
+	}
+	table, err := eng.Run(exp)
+	if err == nil {
+		t.Fatal("corrupted run reported no failure")
+	}
+	if table == nil {
+		t.Fatal("keep-going rendered no table")
+	}
+	for _, line := range strings.Split(table.String(), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		errs := strings.Count(line, "ERR")
+		switch fields[0] {
+		case bad.Mix.ID:
+			if errs != 2 {
+				t.Errorf("corrupted row has %d ERR cells, want 2: %q", errs, line)
+			}
+		case "geomean":
+			if n := strings.Count(line, "(1 dropped)"); n != 2 {
+				t.Errorf("geomean row marks %d columns as dropping one entry, want 2: %q", n, line)
+			}
+		default:
+			if errs != 0 {
+				t.Errorf("violation poisoned another row: %q", line)
+			}
+		}
+	}
+	if eng.Runner.NumFailed() != 1 {
+		t.Errorf("NumFailed = %d, want 1", eng.Runner.NumFailed())
+	}
+	if _, ok := invariant.IsViolation(eng.Runner.FailureOf(bad)); !ok {
+		t.Errorf("recorded failure is not a Violation: %v", eng.Runner.FailureOf(bad))
 	}
 }

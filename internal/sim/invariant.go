@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/csalt-sim/csalt/internal/faultinject"
 	"github.com/csalt-sim/csalt/internal/invariant"
 	"github.com/csalt-sim/csalt/internal/mem"
 )
@@ -24,19 +23,6 @@ type invState struct {
 	structural *invariant.Set
 	pollEvery  int // watchdog polls between periodic checks; 0 = end-of-run only
 	polls      int
-}
-
-// chaosState is the sim run loop's view of the fault-injection plane.
-type chaosState struct {
-	plane *faultinject.Plane
-	key   string
-}
-
-// SetChaos attaches a fault-injection plane; the run loop consults it at
-// every watchdog poll for the sim.stall and sim.corrupt points, keyed by
-// the given job key. A nil plane detaches.
-func (s *System) SetChaos(p *faultinject.Plane, key string) {
-	s.chaos = chaosState{plane: p, key: key}
 }
 
 // EnableInvariantChecks arms mid-run periodic invariant checking (cheap
@@ -158,18 +144,9 @@ func (s *System) CheckInvariants() error {
 	return err
 }
 
-// checkPeriodic runs inside the watchdog-poll block: chaos points first
-// (a scheduled corruption must be observable by the very next check),
-// then the periodic invariant pass when armed.
+// checkPeriodic runs inside the watchdog-poll block: the periodic
+// invariant pass, when armed.
 func (s *System) checkPeriodic() error {
-	if s.chaos.plane != nil {
-		if _, ok := s.chaos.plane.Fire(faultinject.SimStall, s.chaos.key); ok {
-			s.dog.chaosStall = true
-		}
-		if _, ok := s.chaos.plane.Fire(faultinject.SimCorrupt, s.chaos.key); ok {
-			s.CorruptForTest("tlb-counter")
-		}
-	}
 	if s.inv.pollEvery == 0 {
 		return nil
 	}
@@ -185,8 +162,8 @@ func (s *System) checkPeriodic() error {
 	return s.inv.structural.Check()
 }
 
-// CorruptForTest deliberately breaks one conservation law so tests (and
-// the sim.corrupt chaos point) can assert the invariant layer catches it:
+// CorruptForTest deliberately breaks one conservation law so tests can
+// assert the invariant layer catches it:
 //
 //	"tlb-counter"  bumps an L1 TLB hit counter without a lookup
 //	"partition"    forces an out-of-range L3 way partition

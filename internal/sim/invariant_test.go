@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/csalt-sim/csalt/internal/faultinject"
 	"github.com/csalt-sim/csalt/internal/invariant"
 )
 
@@ -67,52 +66,20 @@ func TestCorruptPartitionTripsStructuralCheck(t *testing.T) {
 	}
 }
 
-// The sim.corrupt chaos point must surface as a failed run: the injected
-// counter bump happens mid-run (post-warmup poll) and the always-on
-// end-of-run conservation pass rejects the results.
-func TestChaosCorruptFailsRun(t *testing.T) {
-	sys := MustNew(tinyConfig())
-	plane := faultinject.New(faultinject.MustParse("sim.corrupt:1@40"))
-	sys.SetChaos(plane, "test/pom/none")
+// A corruption must surface as a failed run, through the always-on
+// end-of-run conservation pass. With no warm-up, no stats reset can wipe
+// a counter bumped before Run.
+func TestCorruptCounterFailsRun(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.WarmupRefs = 0
+	sys := MustNew(cfg)
+	sys.CorruptForTest("tlb-counter")
 	_, err := sys.Run()
-	if plane.Fired() != 1 {
-		t.Fatalf("corrupt point fired %d times, want 1 (log:\n%s)", plane.Fired(), plane.LogString())
-	}
-	if _, ok := invariant.IsViolation(err); !ok {
+	v, ok := invariant.IsViolation(err)
+	if !ok {
 		t.Fatalf("run error = %v, want an invariant violation", err)
 	}
-}
-
-// The sim.stall chaos point must trip the genuine watchdog path: the run
-// fails with a *StallError carrying the standard diagnostic dump.
-func TestChaosStallTripsWatchdog(t *testing.T) {
-	sys := MustNew(tinyConfig())
-	sys.SetStallLimit(10_000)
-	plane := faultinject.New(faultinject.MustParse("sim.stall:1@2"))
-	sys.SetChaos(plane, "test/pom/none")
-	_, err := sys.Run()
-	if err == nil {
-		t.Fatal("injected stall did not fail the run")
-	}
-	stall, ok := err.(*StallError)
-	if !ok {
-		t.Fatalf("error = %T %v, want *StallError", err, err)
-	}
-	if stall.Dump == "" {
-		t.Error("stall error carries no diagnostic dump")
-	}
-	if plane.Fired() != 1 {
-		t.Errorf("stall point fired %d times", plane.Fired())
-	}
-}
-
-// With the watchdog disarmed the stall point is a no-op: chaos must never
-// introduce failure modes the configuration cannot hit.
-func TestChaosStallNeedsArmedWatchdog(t *testing.T) {
-	sys := MustNew(tinyConfig())
-	plane := faultinject.New(faultinject.MustParse("sim.stall:1@1"))
-	sys.SetChaos(plane, "test/pom/none")
-	if _, err := sys.Run(); err != nil {
-		t.Fatalf("unarmed watchdog: %v", err)
+	if !strings.HasPrefix(v.Check, "tlb.") || !strings.HasSuffix(v.Check, ".conservation") {
+		t.Errorf("violation names %q, want a tlb conservation law", v.Check)
 	}
 }

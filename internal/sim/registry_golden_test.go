@@ -17,8 +17,8 @@ import (
 // TestRegistryGolden pins a whole run's metrics registry — every group,
 // metric name and value, including the introspect.* per-cause families —
 // in the JSON form `csaltsim -metrics-out` writes. The run is a
-// micro-scale single-core GUPS pair on POM-TLB (the experiment and chaos
-// packages' micro scale); the observer carries a registry and an epoch
+// micro-scale single-core GUPS pair on POM-TLB (the experiment package's
+// micro scale); the observer carries a registry and an epoch
 // sampler, and the attribution plane attaches after it, as an observed
 // csaltsim run wires them.
 //

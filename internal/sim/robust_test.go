@@ -56,8 +56,9 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	}
 }
 
-// TestStallWatchdogFires drives the stall check directly: two polls with
-// no retirement progress and a cycle gap beyond the limit must produce a
+// TestStallWatchdogFires drives the run loop's poll directly (the block
+// TestRunContextCancellation shows the loop calls): two polls with no
+// retirement progress and a cycle gap beyond the limit must produce a
 // StallError carrying the memory-system dump. (The organic run loop cannot
 // livelock today — every Step retires — so the guard is exercised
 // white-box; it exists to catch future queue bugs.)
@@ -75,7 +76,7 @@ func TestStallWatchdogFires(t *testing.T) {
 	sys.dog.lastInstr = sys.instrTotal()
 	sys.dog.lastProgress = 0
 
-	err := sys.checkStall()
+	err := sys.poll(context.Background())
 	if err == nil {
 		t.Fatal("watchdog silent across a stalled window")
 	}

@@ -52,10 +52,8 @@ type System struct {
 	// Forward-progress watchdog (disabled unless SetStallLimit was called).
 	dog watchdog
 
-	// Fault injection and runtime self-verification (see invariant.go).
-	// Zero values cost one nil compare per watchdog poll.
-	chaos chaosState
-	inv   invState
+	// Runtime self-verification (see invariant.go).
+	inv invState
 }
 
 // New builds a System from cfg.
@@ -182,13 +180,7 @@ func (s *System) RunContext(ctx context.Context) (*Results, error) {
 			sinceCheck++
 			if sinceCheck >= checkEvery {
 				sinceCheck = 0
-				if err := ctx.Err(); err != nil {
-					return nil, fmt.Errorf("sim: run cancelled: %w", err)
-				}
-				if err := s.checkStall(); err != nil {
-					return nil, err
-				}
-				if err := s.checkPeriodic(); err != nil {
+				if err := s.poll(ctx); err != nil {
 					return nil, err
 				}
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -40,12 +41,6 @@ type watchdog struct {
 	lastInstr    uint64
 	lastProgress uint64 // cycle at the last poll that saw retirement
 	primed       bool
-	// chaosStall, when set by the fault-injection plane (sim.stall),
-	// models a livelock: the watchdog sees a frozen retirement counter
-	// and a clock already past the limit, so the standard detection path
-	// — including the diagnostic dump — fires on the next poll. It has
-	// no effect while the watchdog is disabled (limit 0) or unprimed.
-	chaosStall bool
 }
 
 // SetStallLimit arms the in-simulator forward-progress guard: if no core
@@ -75,6 +70,18 @@ func (s *System) maxCycle() uint64 {
 	return m
 }
 
+// poll is the run loop's every-checkEvery-steps block: cancellation, then
+// the forward-progress watchdog, then the periodic invariant pass.
+func (s *System) poll(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("sim: run cancelled: %w", err)
+	}
+	if err := s.checkStall(); err != nil {
+		return err
+	}
+	return s.checkPeriodic()
+}
+
 // checkStall polls the watchdog; it returns a *StallError once the
 // retirement gap exceeds the limit.
 func (s *System) checkStall() error {
@@ -83,10 +90,6 @@ func (s *System) checkStall() error {
 	}
 	instr := s.instrTotal()
 	cycle := s.maxCycle()
-	if s.dog.chaosStall && s.dog.primed {
-		instr = s.dog.lastInstr
-		cycle = s.dog.lastProgress + s.dog.limit + 1
-	}
 	if !s.dog.primed || instr != s.dog.lastInstr {
 		s.dog.primed = true
 		s.dog.lastInstr = instr
