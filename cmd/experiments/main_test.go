@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -64,9 +65,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 	}
 }
 
-// -fsck on a store a crash left mid-append reports the records it holds,
-// truncates the torn tail and compacts the duplicates, leaving the file on
-// a record boundary.
+// -fsck on a store a crash left mid-append reports the records it holds
+// and the torn tail's exact size, truncates the tail and compacts the
+// duplicates, leaving the file on a record boundary.
 func TestFsckRepairsTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, err := checkpoint.Open(dir, false)
@@ -86,7 +87,8 @@ func TestFsckRepairsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"key":"c","val`); err != nil {
+	const tail = `{"key":"c","val` // no newline: the append died midway
+	if _, err := f.WriteString(tail); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -100,8 +102,8 @@ func TestFsckRepairsTornTail(t *testing.T) {
 	if want := "fsck " + path + ": 3 records, 2 distinct keys\n"; !strings.HasPrefix(stdout, want) {
 		t.Errorf("-fsck output does not start with %q:\n%s", want, stdout)
 	}
-	if !strings.Contains(stdout, "torn tail") {
-		t.Errorf("-fsck output does not report the torn tail:\n%s", stdout)
+	if want := fmt.Sprintf("torn tail: %d bytes", len(tail)); !strings.Contains(stdout, want) {
+		t.Errorf("-fsck output does not report %q:\n%s", want, stdout)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -148,8 +148,7 @@ func (s *Store) replay() error {
 		return s.writeLine("", header{Schema: Schema, Version: Version})
 	}
 
-	sc := bufio.NewScanner(s.f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc := newLineScanner(s.f)
 	if !sc.Scan() {
 		return fmt.Errorf("checkpoint: store has no header line")
 	}
@@ -162,18 +161,17 @@ func (s *Store) replay() error {
 			h.Schema, h.Version, Schema, Version)
 	}
 
-	good := int64(len(sc.Bytes()) + 1) // header line + newline
+	good := sc.width
 	for sc.Scan() {
-		line := sc.Bytes()
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil || r.Key == "" {
+		r, ok := sc.record()
+		if !ok {
 			// A torn or garbage line: everything before it is intact;
 			// drop it and anything after.
 			break
 		}
 		s.entries[r.Key] = append(json.RawMessage(nil), r.Value...)
 		s.loaded++
-		good += int64(len(line) + 1)
+		good += sc.width
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("checkpoint: reading store: %w", err)
@@ -390,8 +388,7 @@ func (s *Store) Fsck() (*FsckReport, error) {
 
 func fsckFile(f *os.File, path string) (*FsckReport, error) {
 	rep := &FsckReport{Path: path}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc := newLineScanner(f)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("checkpoint: fsck %s: %w", path, err)
@@ -409,14 +406,13 @@ func fsckFile(f *os.File, path string) (*FsckReport, error) {
 	var torn int64
 	seen := make(map[string]bool)
 	for sc.Scan() {
-		line := sc.Bytes()
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil || r.Key == "" {
+		r, ok := sc.record()
+		if !ok {
 			if torn > 0 {
 				// Two damaged regions cannot come from one crash.
 				return nil, fmt.Errorf("checkpoint: fsck %s: multiple torn regions (corrupt store)", path)
 			}
-			torn = int64(len(line) + 1)
+			torn = sc.width
 			continue
 		}
 		if torn > 0 {
@@ -433,6 +429,41 @@ func fsckFile(f *os.File, path string) (*FsckReport, error) {
 	}
 	rep.TornTail = torn
 	return rep, nil
+}
+
+// lineScanner reads a store file one line at a time and knows how many
+// bytes each line takes in the file: its newline counts only when the
+// file has one, and a crash mid-append leaves a last line without it.
+type lineScanner struct {
+	*bufio.Scanner
+	width      int64 // bytes of the current line, newline included if present
+	terminated bool  // the current line ends in a newline
+}
+
+func newLineScanner(r io.Reader) *lineScanner {
+	sc := &lineScanner{Scanner: bufio.NewScanner(r)}
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if tok != nil {
+			sc.width = int64(adv)
+			sc.terminated = data[adv-1] == '\n'
+		}
+		return adv, tok, err
+	})
+	return sc
+}
+
+// record decodes the current line as a record. A line is an intact
+// record only if it parses, has a key and ends in a newline: a record
+// whose newline never reached the file is torn too, since an append
+// after it would run into it.
+func (sc *lineScanner) record() (record, bool) {
+	var r record
+	if err := json.Unmarshal(sc.Bytes(), &r); err != nil || r.Key == "" || !sc.terminated {
+		return record{}, false
+	}
+	return r, true
 }
 
 // Close syncs and closes the underlying file; the store is unusable after.

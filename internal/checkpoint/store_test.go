@@ -152,6 +152,72 @@ func TestTornTrailingRecord(t *testing.T) {
 	}
 }
 
+// TestFsckTornTailBytes: Fsck reports a torn tail's exact size, counting
+// its newline only when the file has one (a crash mid-append leaves
+// none), and resuming removes exactly those bytes, so the next append
+// starts on the record boundary. A whole record whose newline never
+// reached the file is a torn tail too: keeping it would glue the next
+// append onto it.
+func TestFsckTornTailBytes(t *testing.T) {
+	for _, tc := range []struct{ name, tail string }{
+		{"without newline", `{"key":"c","val`},
+		{"with newline", `{"key":"c","val` + "\n"},
+		{"whole record without newline", `{"key":"c","value":3}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range []string{"a", "b"} {
+				if err := s.Put(k, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, FileName)
+			intact, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(intact, tc.tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			rep, err := Fsck(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Records != 2 || rep.TornTail != int64(len(tc.tail)) {
+				t.Errorf("fsck = %d records, %d-byte torn tail; want 2, %d", rep.Records, rep.TornTail, len(tc.tail))
+			}
+			r, err := Open(dir, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Replayed() != 2 {
+				t.Errorf("replayed %d records, want 2", r.Replayed())
+			}
+			if err := r.Put("d", 4); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := string(intact) + `{"key":"d","value":4}` + "\n"; string(data) != want {
+				t.Errorf("store after resume and append:\n%q\nwant\n%q", data, want)
+			}
+		})
+	}
+}
+
 func TestVersionMismatchRefusesResume(t *testing.T) {
 	dir := t.TempDir()
 	hdr, _ := json.Marshal(header{Schema: Schema, Version: Version + 1})

@@ -306,3 +306,46 @@ func TestScatteredTableAllocBytes(t *testing.T) {
 		t.Errorf("building the table allocated %d bytes, want at most %d", got, 12<<20)
 	}
 }
+
+// TestPTEStoreGrowsAtSevenEighths pins the store's load bound over three
+// doublings: a store holding ⌊7/8·len⌋ entries has not grown and the next
+// insert doubles it, every inserted key reads back its word, and every
+// key absent from a store at the bound reads 0 — at most 7/8 full, the
+// store keeps empty slots, and an empty slot ends every probe.
+func TestPTEStoreGrowsAtSevenEighths(t *testing.T) {
+	// Keys are scattered PTE addresses below 2^38 and include address 0;
+	// words are present leaves with distinct frames.
+	addr := func(i int) mem.PAddr { return mem.PAddr(uint64(i)*0x9E3779B97F4A7C15>>29) &^ 7 }
+	word := func(i int) uint64 { return leafWord(mem.PAddr(i+1)<<mem.PageShift4K, mem.Page4K) }
+	s := newPTEStore()
+	n := 0
+	for round := 0; round < 3; round++ {
+		slots := len(s.slots)
+		for ; n < slots*7/8; n++ {
+			s.insert(addr(n), word(n))
+		}
+		if len(s.slots) != slots {
+			t.Fatalf("store of %d entries grew from %d to %d slots; want growth only past %d", n, slots, len(s.slots), slots*7/8)
+		}
+		for i := 0; i < n; i++ {
+			if got := s.get(addr(i)); got != word(i) {
+				t.Fatalf("%d entries in %d slots: key %#x reads %#x, want %#x", n, slots, addr(i), got, word(i))
+			}
+		}
+		for i := n; i < n+4*slots; i++ {
+			if got := s.get(addr(i)); got != 0 {
+				t.Fatalf("%d entries in %d slots: absent key %#x reads %#x, want 0", n, slots, addr(i), got)
+			}
+		}
+		s.insert(addr(n), word(n))
+		n++
+		if len(s.slots) != 2*slots {
+			t.Fatalf("insert %d into a store at the bound left %d slots, want %d", n, len(s.slots), 2*slots)
+		}
+		for i := 0; i < n; i++ {
+			if got := s.get(addr(i)); got != word(i) {
+				t.Fatalf("after doubling to %d slots: key %#x reads %#x, want %#x", len(s.slots), addr(i), got, word(i))
+			}
+		}
+	}
+}

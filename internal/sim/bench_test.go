@@ -79,3 +79,38 @@ func BenchmarkRunLoop(b *testing.B) {
 	refs := uint64(b.N) * uint64(cfg.Cores) * cfg.MaxRefsPerCore
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(refs), "ns/ref")
 }
+
+// BenchmarkNew measures sim.New on two of perfbench's configurations at
+// experiment.Small's machine shape (8 cores, two contexts, scale 0.25,
+// seed 3): gups_pom_cd (POM-TLB, CSALT-CD) and ccomp_conv (conventional
+// walker). Set-up is mostly prewarm, which maps every footprint page and
+// fills its POM-TLB entry, so ns/page is set-up time per prewarmed
+// footprint page, the quantity perfbench traces as setup.ns_per_page.
+// `make bench` runs it once; perfbench's setup_s times two builds side
+// by side.
+func BenchmarkNew(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		mix    workload.Mix
+		org    TranslationOrg
+		scheme core.Scheme
+	}{
+		{"gups_pom_cd", workload.Mix{ID: "gups", VM1: workload.GUPS, VM2: workload.GUPS}, OrgPOM, core.CriticalityDynamic},
+		{"ccomp_conv", workload.Mix{ID: "ccomp", VM1: workload.CComp, VM2: workload.CComp}, OrgConventional, core.None},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Cores, cfg.Scale, cfg.Seed = 8, 0.25, 3
+			cfg.Mix, cfg.Org, cfg.Scheme = bc.mix, bc.org, bc.scheme
+			pages := footprintPages(b, cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pages), "ns/page")
+		})
+	}
+}

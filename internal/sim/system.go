@@ -88,34 +88,17 @@ func New(cfg Config) (*System, error) {
 	}
 
 	// Cores: core c runs thread c of every VM, one context per VM.
+	pw := newPrewarmBatch(ms)
 	for c := 0; c < cfg.Cores; c++ {
 		var ctxs []cpu.Context
 		for vi, vm := range s.vms {
-			var src trace.Source
-			var err error
-			if cfg.TraceDir != "" {
-				path := filepath.Join(cfg.TraceDir, fmt.Sprintf("vm%d_core%d.trace", vi+1, c))
-				src, err = trace.LoadReplay(path)
-			} else {
-				src, err = workload.New(vm.bench, workload.Params{
-					ASID:  vm.asid,
-					Base:  vaBase(c),
-					Seed:  cfg.Seed + uint64(vi)*1_000_003 + uint64(c)*7919,
-					Scale: cfg.Scale,
-				})
-			}
+			src, err := newSource(cfg, vm, c, vi)
 			if err != nil {
 				return nil, err
 			}
 			if fp, ok := src.(trace.Footprinter); ok && !cfg.NoPrewarm {
-				var prewarmErr error
-				fp.VisitFootprint(func(v mem.VAddr) {
-					if prewarmErr == nil {
-						prewarmErr = ms.prewarmTranslation(vm, v)
-					}
-				})
-				if prewarmErr != nil {
-					return nil, fmt.Errorf("sim: prewarming core %d ctx %d: %w", c, vi, prewarmErr)
+				if err := pw.prewarm(vm, fp); err != nil {
+					return nil, fmt.Errorf("sim: prewarming core %d ctx %d: %w", c, vi, err)
 				}
 			}
 			ctxs = append(ctxs, cpu.Context{Source: src, ASID: vm.asid})
@@ -133,6 +116,21 @@ func New(cfg Config) (*System, error) {
 		s.cores = append(s.cores, coreObj)
 	}
 	return s, nil
+}
+
+// newSource builds the reference stream core c runs for vm, the VM in
+// context slot vi: the recorded trace under cfg.TraceDir, or else vm's
+// benchmark generator.
+func newSource(cfg Config, vm *vmState, c, vi int) (trace.Source, error) {
+	if cfg.TraceDir != "" {
+		return trace.LoadReplay(filepath.Join(cfg.TraceDir, fmt.Sprintf("vm%d_core%d.trace", vi+1, c)))
+	}
+	return workload.New(vm.bench, workload.Params{
+		ASID:  vm.asid,
+		Base:  vaBase(c),
+		Seed:  cfg.Seed + uint64(vi)*1_000_003 + uint64(c)*7919,
+		Scale: cfg.Scale,
+	})
 }
 
 // MustNew panics on configuration errors.

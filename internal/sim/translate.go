@@ -203,41 +203,3 @@ func (m *memSystem) AccessData(now uint64, pa mem.PAddr, write bool, coreID int)
 
 // pomTLB exposes the POM for results collection (nil unless OrgPOM).
 func (m *memSystem) pomTLB() *tlb.POM { return m.pom }
-
-// prewarmTranslation demand-maps v and installs its translation in the
-// memory-resident translation structures (POM-TLB, TSBs), without touching
-// any hardware TLB or cache state. A page this call maps is installed from
-// the frames the mapping step just chose; only an already-mapped page
-// costs a table walk.
-func (m *memSystem) prewarmTranslation(vm *vmState, v mem.VAddr) error {
-	pm, created, err := vm.ensureMapped(v)
-	if err != nil {
-		return err
-	}
-	if m.pom == nil && m.cfg.Org != OrgTSB {
-		return nil
-	}
-	if !created {
-		if pm, err = vm.resolve(v); err != nil {
-			return err
-		}
-	}
-	if m.pom != nil {
-		// Only a native huge-page VM has 2 MB guest leaves.
-		if pm.size == mem.Page2M {
-			m.pom.InsertSized(v, vm.asid, pm.leaf, mem.Page2M)
-		} else {
-			m.pom.Insert(v, vm.asid, pm.hpa)
-		}
-	}
-	if m.cfg.Org == OrgTSB {
-		if vm.space.Virtualized() {
-			gpa := pm.guestPage(v)
-			m.gtsb[vm.asid].Insert(v, vm.asid, gpa)
-			m.htsb[vm.asid].Insert(mem.VAddr(gpa), vm.asid, pm.hpa)
-		} else {
-			m.htsb[vm.asid].Insert(v, vm.asid, pm.hpa)
-		}
-	}
-	return nil
-}

@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/csalt-sim/csalt/internal/introspect"
 	"github.com/csalt-sim/csalt/internal/mem"
@@ -177,6 +178,29 @@ func (p *POM) LineAddr(v mem.VAddr, asid mem.ASID) mem.PAddr {
 func (p *POM) LineAddrSized(v mem.VAddr, asid mem.ASID, size mem.PageSize) mem.PAddr {
 	set := p.setOf(mem.PageNumber(v, size), asid, size)
 	return p.base + mem.PAddr(set*mem.LineSize)
+}
+
+// Peek loads the first word of the set that a size-size fill for (v,
+// asid) goes to, in either layout, and returns it. The value means
+// nothing outside the package. Peeking a batch of fills before inserting
+// any lets the host CPU overlap their cache misses instead of taking
+// them one insert at a time; the inserts must still run in order, since
+// insert order within a set fixes ranks and evictions.
+func (p *POM) Peek(v mem.VAddr, asid mem.ASID, size mem.PageSize) uint64 {
+	set := p.setOf(mem.PageNumber(v, size), asid, size)
+	if p.flat {
+		return p.fw[set*pomSetStride]
+	}
+	return p.entries[set*EntriesPerLine].seq
+}
+
+// Equal reports whether p and q hold the same entries in the same ways at
+// the same recency. Counters, tracers and probes are not compared, and
+// POM-TLBs of different layouts are never equal.
+func (p *POM) Equal(q *POM) bool {
+	return p.flat == q.flat && p.base == q.base && p.sets == q.sets &&
+		p.next == q.next && p.nBySize == q.nBySize &&
+		slices.Equal(p.fw, q.fw) && slices.Equal(p.entries, q.entries)
 }
 
 // probe searches one size's set for (v, asid).

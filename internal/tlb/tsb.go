@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/csalt-sim/csalt/internal/mem"
 	"github.com/csalt-sim/csalt/internal/stats"
@@ -77,6 +78,19 @@ func (t *TSB) index(vpn uint64, asid mem.ASID) uint64 {
 func (t *TSB) EntryAddr(v mem.VAddr, asid mem.ASID) mem.PAddr {
 	idx := t.index(mem.PageNumber(v, mem.Page4K), asid)
 	return mem.LineAddr(t.base + mem.PAddr(idx*tsbEntryBytes))
+}
+
+// Peek loads the entry a fill for (v, asid) overwrites and returns a word
+// derived from it; see POM.Peek.
+func (t *TSB) Peek(v mem.VAddr, asid mem.ASID) uint64 {
+	idx := t.index(mem.PageNumber(v, mem.Page4K), asid)
+	return t.tags[idx] ^ uint64(t.frames[idx])
+}
+
+// Equal reports whether t and u hold the same entries at the same
+// addresses. Counters are not compared.
+func (t *TSB) Equal(u *TSB) bool {
+	return t.base == u.base && slices.Equal(t.tags, u.tags) && slices.Equal(t.frames, u.frames)
 }
 
 // Lookup checks the direct-mapped slot for (v, asid).
