@@ -59,7 +59,8 @@ fuzz-engines:
 # (internal/pagetable/oracle_test.go): random Map/MapIfAbsent/Lookup/Walk
 # sequences over 4 and 5 levels and 4K/2M pages, with frames on both sides
 # of the 2^38 bound, must agree on every result, error, node count and
-# frame-allocation order. Both engines share the page table, so the
+# frame-allocation order. Each input runs against a hashed table and
+# against a dense one whose key bound splits the fuzzed keys. Both engines share the page table, so the
 # engine-equivalence suite cannot catch its bugs. Minimization is bounded
 # because the ops inputs are long: unbounded, it idles the workers for
 # most of a 60 s soak. Extend -fuzztime for deeper soaks.

@@ -31,7 +31,10 @@ func (a *eptAlloc) Alloc4K() (mem.PAddr, error) {
 // walkBench is a virtualized address space shaped like connectedcomponent's:
 // a guest footprint spread across the VA space with about 8 pages per leaf
 // node, backed by sequential guest-physical frames that the host table
-// maps densely (512 pages per host leaf) onto scrambled host frames.
+// maps densely (512 pages per host leaf) onto scrambled host frames. The
+// guest-physical layout is the simulator's (data from 0, page-table nodes
+// from 2 GB, 2.5 GB in all), and the host table is dense below its end,
+// as the simulator builds it.
 type walkBench struct {
 	guest, host *Table
 	pages       []mem.VAddr
@@ -41,13 +44,15 @@ func newWalkBench(b *testing.B) *walkBench {
 	const (
 		footprint  = 1 << 16 // guest pages
 		pageStride = 64      // 512/64 = 8 pages per guest leaf node
+		gPTBase    = 2 << 30
+		gPTSize    = 512 << 20
 	)
 	hostA := mem.NewFrameAllocator(0, 4<<30, true)
-	host, err := New(hostA, 4)
+	host, err := NewDense(hostA, 4, gPTBase+gPTSize)
 	if err != nil {
 		b.Fatal(err)
 	}
-	gPT := &eptAlloc{inner: mem.NewFrameAllocator(2<<30, 512<<20, false), host: host, hostA: hostA}
+	gPT := &eptAlloc{inner: mem.NewFrameAllocator(gPTBase, gPTSize, false), host: host, hostA: hostA}
 	guest, err := New(gPT, 4)
 	if err != nil {
 		b.Fatal(err)
@@ -75,12 +80,31 @@ func newWalkBench(b *testing.B) *walkBench {
 	return w
 }
 
+// tableBytes is the host memory t's entries occupy: the PTE store's slots
+// and, for a dense table, its region index and every region's leaf array.
+func tableBytes(t *Table) int {
+	n := len(t.ptes.slots)*int(unsafe.Sizeof(t.ptes.slots[0])) + len(t.leaves)*int(unsafe.Sizeof(t.leaves[0]))
+	for _, r := range t.leaves {
+		if r != nil {
+			n += int(unsafe.Sizeof(*r))
+		}
+	}
+	return n
+}
+
+// bytesPerPage is tableBytes over the pages t maps, 4K and 2M alike.
+func bytesPerPage(t *Table) float64 {
+	p4k, p2m := t.MappedPages()
+	return float64(tableBytes(t)) / float64(p4k+p2m)
+}
+
 // BenchmarkTableMap measures building the walk benchmark's address space
 // page by page, as a simulation's set-up does: each footprint page is a
 // guest map (its new table nodes EPT-backed through eptAlloc, so each
 // node frame is also a host map) plus a host map of its data gPA, which
-// the host table holds densely. It reports set-up time per footprint
-// page and the two tables' PTE-store bytes per stored entry.
+// the dense host table holds 512 to a leaf array. It reports set-up time
+// per footprint page and each table's bytes per mapped page, upper-level
+// entries, dense arrays and region index included.
 // `make bench` runs it once; perfbench measures the whole simulator.
 func BenchmarkTableMap(b *testing.B) {
 	b.ReportAllocs()
@@ -89,12 +113,8 @@ func BenchmarkTableMap(b *testing.B) {
 		w = newWalkBench(b)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(w.pages)), "ns/page")
-	var bytes, ptes int
-	for _, t := range []*Table{w.guest, w.host} {
-		bytes += len(t.ptes.slots) * int(unsafe.Sizeof(t.ptes.slots[0]))
-		ptes += t.ptes.n
-	}
-	b.ReportMetric(float64(bytes)/float64(ptes), "B/pte")
+	b.ReportMetric(bytesPerPage(w.guest), "guest-B/page")
+	b.ReportMetric(bytesPerPage(w.host), "host-B/page")
 }
 
 // xorshift picks the next footprint page — cheap enough not to drown the

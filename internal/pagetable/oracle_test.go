@@ -18,12 +18,14 @@ import (
 //
 // It holds full 64-bit frames, so nothing limits what it can store; it
 // enforces the production table's rule that node and leaf frames lie
-// below 2^38 (oracleLimit) only so that the two keep failing alike.
+// below 2^38 (oracleLimit), and a dense table's rule that keys lie below
+// its bound (keyLimit), only so that the two keep failing alike.
 type oracleTable struct {
-	levels int
-	alloc  FrameAlloc
-	root   *oracleNode
-	nodes  map[mem.PAddr]*oracleNode
+	levels   int
+	alloc    FrameAlloc
+	root     *oracleNode
+	nodes    map[mem.PAddr]*oracleNode
+	keyLimit uint64 // ^0 when the table under test is hashed
 
 	nodeCount int
 	mapped4K  uint64
@@ -44,11 +46,11 @@ type oracleNode struct {
 	entries map[int]oracleEntry
 }
 
-func newOracle(alloc FrameAlloc, levels int) (*oracleTable, error) {
+func newOracle(alloc FrameAlloc, levels int, keyLimit uint64) (*oracleTable, error) {
 	if levels != 4 && levels != 5 {
 		return nil, fmt.Errorf("pagetable: unsupported depth %d (want 4 or 5)", levels)
 	}
-	t := &oracleTable{levels: levels, alloc: alloc, nodes: make(map[mem.PAddr]*oracleNode)}
+	t := &oracleTable{levels: levels, alloc: alloc, nodes: make(map[mem.PAddr]*oracleNode), keyLimit: keyLimit}
 	root, err := t.newNode()
 	if err != nil {
 		return nil, err
@@ -83,6 +85,11 @@ func (t *oracleTable) Map(v mem.VAddr, frame mem.PAddr, size mem.PageSize) error
 	}
 	if frame >= oracleLimit {
 		return fmt.Errorf("pagetable: frame %#x not below 2^38", frame)
+	}
+	// A walk resolves only the bits its levels index, so the bound applies
+	// to those.
+	if uint64(v)&(1<<(12+9*t.levels)-1) >= t.keyLimit {
+		return fmt.Errorf("pagetable: key %#x not below the table's bound %#x", v, t.keyLimit)
 	}
 	stop := leafLevel(size)
 	n := t.root
@@ -285,14 +292,21 @@ func errString(err error) string {
 	return err.Error()
 }
 
+// fuzzKeyLimit is the dense table's key bound under FuzzTableOracle: 1 GB
+// plus two 2 MB regions, so fuzzVA's keys fall on both sides of it (its
+// level-3 index 1 with level-2 index 0 or 1 below, 2 or 3 at or above).
+const fuzzKeyLimit = 1<<30 | 2<<21
+
 // FuzzTableOracle drives random Map/MapIfAbsent/Lookup/Translate/Walk
-// sequences through the PTE-store table and the map-of-maps oracle over 4
-// and 5 levels and 4K/2M pages, each fed by its own identical allocator
-// (high: one counting up across 2^38), and requires them to agree on every
+// sequences through the table and the map-of-maps oracle over 4 and 5
+// levels and 4K/2M pages, each fed by its own identical allocator (high:
+// one counting up across 2^38), and requires them to agree on every
 // result, step list and error, on NodeCount, on MappedPages and on the
 // frame-allocation sequence. MapIfAbsent is checked against the oracle's
-// Lookup then Map, its leaf frame drawn in the allocation sequence. The
-// seed corpus runs in every `go test`; `make fuzz-pagetable` explores
+// Lookup then Map, its leaf frame drawn in the allocation sequence. Every
+// input runs twice: against a hashed table (New), and against a dense one
+// (NewDense, bound fuzzKeyLimit) whose oracle refuses the keys it must.
+// The seed corpus runs in every `go test`; `make fuzz-pagetable` explores
 // further.
 func FuzzTableOracle(f *testing.F) {
 	const (
@@ -373,106 +387,143 @@ func FuzzTableOracle(f *testing.F) {
 		f.Add(five, uint8(3), false, absent) // budget runs out part-way through a MapIfAbsent
 		f.Add(five, uint8(6), true, absent)
 	}
+	const (
+		rBelow = 0x0000_0328 // level 3 index 1, level 2 index 1: the last region below fuzzKeyLimit
+		rAt    = 0x0000_0048 // level 2 index 2: the first region at it
+		rLow2M = 0x0000_0008 // level 2 index 0: an empty 2M region below it
+	)
+	edge := fuzzOps(
+		fuzzOp(fuzzOpMap4K, rBelow, frameA),
+		fuzzOp(fuzzOpMap4K, rBelow|0xf00, frameB), // the region's last slot
+		fuzzOp(fuzzOpMap4K, rAt, frameA),          // dense: refused
+		fuzzOp(fuzzOpProbe, rAt, 0),
+		fuzzOp(fuzzOpMap2M, rAt, hugeSlot), // dense: refused
+		fuzzOp(fuzzOpMap2M, rLow2M, hugeSlot),
+		fuzzOp(fuzzOpProbe, rLow2M|0xabc000, 0),
+		fuzzOp(fuzzOpMapIfAbsent, rAt|0x100, frameB), // dense: drawn, then refused
+		fuzzOp(fuzzOpMapIfAbsent, rBelow|0x100, frameB),
+		fuzzOp(fuzzOpMap4K, rBelow|1, frameA), // bit 48: rBelow's alias at 4 levels, above the bound at 5
+		fuzzOp(fuzzOpProbe, rBelow|1, 0),
+		fuzzOp(fuzzOpProbe, rBelow, 0),
+	)
+	for _, five := range []bool{false, true} {
+		f.Add(five, uint8(255), false, edge)
+		f.Add(five, uint8(4), false, edge) // budget runs out at the first map
+	}
 	f.Fuzz(func(t *testing.T, five bool, budget uint8, high bool, ops []byte) {
-		levels := 4
-		if five {
-			levels = 5
-		}
-		gotA, wantA := newRecordingAlloc(int(budget), high), newRecordingAlloc(int(budget), high)
-		got, gotErr := New(gotA, levels)
-		want, wantErr := newOracle(wantA, levels)
-		if errString(gotErr) != errString(wantErr) {
-			t.Fatalf("New: err %v, oracle %v", gotErr, wantErr)
-		}
-		if gotErr != nil {
-			return
-		}
-		check := func(what string) {
-			t.Helper()
-			if got.Root() != want.Root() || got.NodeCount() != want.NodeCount() {
-				t.Fatalf("%s: root/nodes %#x/%d, oracle %#x/%d", what, got.Root(), got.NodeCount(), want.Root(), want.NodeCount())
-			}
-			g4, g2 := got.MappedPages()
-			w4, w2 := want.MappedPages()
-			if g4 != w4 || g2 != w2 {
-				t.Fatalf("%s: MappedPages %d/%d, oracle %d/%d", what, g4, g2, w4, w2)
-			}
-			if !reflect.DeepEqual(gotA.got, wantA.got) {
-				t.Fatalf("%s: allocation sequence %#x, oracle %#x", what, gotA.got, wantA.got)
-			}
-		}
-		compareAt := func(what string, v mem.VAddr) {
-			t.Helper()
-			gf, gs, gok := got.Lookup(v)
-			wf, ws, wok := want.Lookup(v)
-			if gf != wf || gs != ws || gok != wok {
-				t.Fatalf("%s: Lookup(%#x) = %#x,%v,%v, oracle %#x,%v,%v", what, v, gf, gs, gok, wf, ws, wok)
-			}
-			gpa, gok := got.Translate(v)
-			wpa, wok := want.Translate(v)
-			if gpa != wpa || gok != wok {
-				t.Fatalf("%s: Translate(%#x) = %#x,%v, oracle %#x,%v", what, v, gpa, gok, wpa, wok)
-			}
-			gsteps, gf, gs, gok := got.Walk(v, nil)
-			wsteps, wf, ws, wok := want.Walk(v, nil)
-			if !reflect.DeepEqual(gsteps, wsteps) || gf != wf || gs != ws || gok != wok {
-				t.Fatalf("%s: Walk(%#x) = %v,%#x,%v,%v, oracle %v,%#x,%v,%v", what, v, gsteps, gf, gs, gok, wsteps, wf, ws, wok)
-			}
-		}
-
-		var touched []mem.VAddr
-		var prevV mem.VAddr
-		var prevFrame mem.PAddr
-		prevSize := mem.Page4K
-		for n := 0; len(ops) >= fuzzOpBytes && n < fuzzMaxOps; n++ {
-			op := ops[0]
-			v := fuzzVA(binary.LittleEndian.Uint32(ops[1:]))
-			fr := uint64(binary.LittleEndian.Uint32(ops[5:]))
-			ops = ops[fuzzOpBytes:]
-			what := fmt.Sprintf("op %d (%#x, va %#x)", n, op, v)
-			switch op & 3 {
-			case fuzzOpMap4K, fuzzOpMap2M:
-				size := mem.Page4K
-				if op&3 == fuzzOpMap2M {
-					size = mem.Page2M
-				}
-				frame := mem.PAddr(fr << size.Shift())
-				if op&fuzzFlagMisalign != 0 {
-					frame += 0x800
-				}
-				if op&fuzzFlagRepeat != 0 {
-					v, frame, size = prevV, prevFrame, prevSize
-				}
-				prevV, prevFrame, prevSize = v, frame, size
-				gerr, werr := got.Map(v, frame, size), want.Map(v, frame, size)
-				if errString(gerr) != errString(werr) {
-					t.Fatalf("%s: Map(%#x, %s) err %v, oracle %v", what, frame, size, gerr, werr)
-				}
-			case fuzzOpMapIfAbsent:
-				size := mem.Page4K
-				if op&fuzzFlag2M != 0 {
-					size = mem.Page2M
-				}
-				frame := mem.PAddr(fr << size.Shift())
-				if op&fuzzFlagMisalign != 0 {
-					frame += 0x800
-				}
-				gf, gs, gnew, gerr := got.MapIfAbsent(v, size, gotA.leaf(frame))
-				wf, ws, wnew, werr := want.lookupThenMap(v, size, wantA.leaf(frame))
-				if gf != wf || gs != ws || gnew != wnew || errString(gerr) != errString(werr) {
-					t.Fatalf("%s: MapIfAbsent(%#x, %s) = %#x,%v,%v,%v, oracle %#x,%v,%v,%v",
-						what, frame, size, gf, gs, gnew, gerr, wf, ws, wnew, werr)
-				}
-			default:
-				compareAt(what, v)
-			}
-			touched = append(touched, v)
-			check(what)
-		}
-		for _, v := range touched {
-			for _, d := range []mem.VAddr{0, mem.PageSize4K, mem.PageSize2M} {
-				compareAt("final sweep", v^d)
-			}
-		}
+		checkOracle(t, five, budget, high, ops, ^uint64(0))
+		checkOracle(t, five, budget, high, ops, fuzzKeyLimit)
 	})
+}
+
+// checkOracle runs one FuzzTableOracle input against a table with the
+// given key bound: a hashed table for ^0, a dense one otherwise.
+func checkOracle(t *testing.T, five bool, budget uint8, high bool, ops []byte, keyLimit uint64) {
+	t.Helper()
+	levels := 4
+	if five {
+		levels = 5
+	}
+	gotA, wantA := newRecordingAlloc(int(budget), high), newRecordingAlloc(int(budget), high)
+	var got *Table
+	var gotErr error
+	if keyLimit == ^uint64(0) {
+		got, gotErr = New(gotA, levels)
+	} else {
+		got, gotErr = NewDense(gotA, levels, mem.PAddr(keyLimit))
+	}
+	want, wantErr := newOracle(wantA, levels, keyLimit)
+	if errString(gotErr) != errString(wantErr) {
+		t.Fatalf("key bound %#x: constructor err %v, oracle %v", keyLimit, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	check := func(what string) {
+		t.Helper()
+		if got.Root() != want.Root() || got.NodeCount() != want.NodeCount() {
+			t.Fatalf("%s: root/nodes %#x/%d, oracle %#x/%d", what, got.Root(), got.NodeCount(), want.Root(), want.NodeCount())
+		}
+		g4, g2 := got.MappedPages()
+		w4, w2 := want.MappedPages()
+		if g4 != w4 || g2 != w2 {
+			t.Fatalf("%s: MappedPages %d/%d, oracle %d/%d", what, g4, g2, w4, w2)
+		}
+		if !reflect.DeepEqual(gotA.got, wantA.got) {
+			t.Fatalf("%s: allocation sequence %#x, oracle %#x", what, gotA.got, wantA.got)
+		}
+	}
+	compareAt := func(what string, v mem.VAddr) {
+		t.Helper()
+		gf, gs, gok := got.Lookup(v)
+		wf, ws, wok := want.Lookup(v)
+		if gf != wf || gs != ws || gok != wok {
+			t.Fatalf("%s: Lookup(%#x) = %#x,%v,%v, oracle %#x,%v,%v", what, v, gf, gs, gok, wf, ws, wok)
+		}
+		gpa, gok := got.Translate(v)
+		wpa, wok := want.Translate(v)
+		if gpa != wpa || gok != wok {
+			t.Fatalf("%s: Translate(%#x) = %#x,%v, oracle %#x,%v", what, v, gpa, gok, wpa, wok)
+		}
+		gsteps, gf, gs, gok := got.Walk(v, nil)
+		wsteps, wf, ws, wok := want.Walk(v, nil)
+		if !reflect.DeepEqual(gsteps, wsteps) || gf != wf || gs != ws || gok != wok {
+			t.Fatalf("%s: Walk(%#x) = %v,%#x,%v,%v, oracle %v,%#x,%v,%v", what, v, gsteps, gf, gs, gok, wsteps, wf, ws, wok)
+		}
+	}
+
+	var touched []mem.VAddr
+	var prevV mem.VAddr
+	var prevFrame mem.PAddr
+	prevSize := mem.Page4K
+	for n := 0; len(ops) >= fuzzOpBytes && n < fuzzMaxOps; n++ {
+		op := ops[0]
+		v := fuzzVA(binary.LittleEndian.Uint32(ops[1:]))
+		fr := uint64(binary.LittleEndian.Uint32(ops[5:]))
+		ops = ops[fuzzOpBytes:]
+		what := fmt.Sprintf("key bound %#x, op %d (%#x, va %#x)", keyLimit, n, op, v)
+		switch op & 3 {
+		case fuzzOpMap4K, fuzzOpMap2M:
+			size := mem.Page4K
+			if op&3 == fuzzOpMap2M {
+				size = mem.Page2M
+			}
+			frame := mem.PAddr(fr << size.Shift())
+			if op&fuzzFlagMisalign != 0 {
+				frame += 0x800
+			}
+			if op&fuzzFlagRepeat != 0 {
+				v, frame, size = prevV, prevFrame, prevSize
+			}
+			prevV, prevFrame, prevSize = v, frame, size
+			gerr, werr := got.Map(v, frame, size), want.Map(v, frame, size)
+			if errString(gerr) != errString(werr) {
+				t.Fatalf("%s: Map(%#x, %s) err %v, oracle %v", what, frame, size, gerr, werr)
+			}
+		case fuzzOpMapIfAbsent:
+			size := mem.Page4K
+			if op&fuzzFlag2M != 0 {
+				size = mem.Page2M
+			}
+			frame := mem.PAddr(fr << size.Shift())
+			if op&fuzzFlagMisalign != 0 {
+				frame += 0x800
+			}
+			gf, gs, gnew, gerr := got.MapIfAbsent(v, size, gotA.leaf(frame))
+			wf, ws, wnew, werr := want.lookupThenMap(v, size, wantA.leaf(frame))
+			if gf != wf || gs != ws || gnew != wnew || errString(gerr) != errString(werr) {
+				t.Fatalf("%s: MapIfAbsent(%#x, %s) = %#x,%v,%v,%v, oracle %#x,%v,%v,%v",
+					what, frame, size, gf, gs, gnew, gerr, wf, ws, wnew, werr)
+			}
+		default:
+			compareAt(what, v)
+		}
+		touched = append(touched, v)
+		check(what)
+	}
+	for _, v := range touched {
+		for _, d := range []mem.VAddr{0, mem.PageSize4K, mem.PageSize2M} {
+			compareAt(fmt.Sprintf("key bound %#x, final sweep", keyLimit), v^d)
+		}
+	}
 }

@@ -10,19 +10,28 @@
 // table's are host-physical (hPA). The nested walker in internal/walker
 // composes the two.
 //
-// A table keeps no node objects. Every present PTE lives in one
-// open-addressing store keyed by the PTE's own simulated address (node
-// frame + 8·index) and holding a packed PTE word, so a table is found
-// the way hardware finds it: by address. A walk step is one hash probe —
-// read the PTE at frame+8·idx — and the word's frame field is the next
-// node's frame.
+// A table keeps no node objects, and its entries have one of two leaf
+// layouts. Upper-level entries, 2 MB leaves and every entry of a table
+// built by New live in one open-addressing store keyed by the PTE's own
+// simulated address (node frame + 8·index) and holding a packed PTE word,
+// so a table is found the way hardware finds it: by address. A walk step
+// is one hash probe — read the PTE at frame+8·idx — and the word's frame
+// field is the next node's frame. A table built by NewDense, whose keys
+// are physical addresses below a bound it is given (the host/EPT table,
+// keyed by guest-physical pages that sequential allocators hand out),
+// keeps its 4 KB leaves apart instead: 512 packed 32-bit words per 2 MB
+// key region, indexed by the key itself. Its node frames, upper levels
+// and step addresses are exactly those a hashed table would have; only
+// where the host process keeps the level-1 words differs.
 //
-// Each store slot is a single uint64 carrying both the PTE's address and
-// its word. That packing is exact because every frame a table stores,
-// node or leaf, lies below 2^38 (256 GB): the simulator's host RAM is
-// exactly [0, 256 GB) and a VM's guest-physical space ends at 2.5 GB.
-// Map and node allocation reject a frame at or above the bound, so a
-// larger address fails loudly instead of aliasing another entry.
+// A store slot is a single uint64 carrying both the PTE's address and its
+// word, and a dense leaf word holds the slot's low 29 bits. That packing is
+// exact because every frame a table stores, node or leaf, lies below 2^38
+// (256 GB): the simulator's host RAM is exactly [0, 256 GB) and a VM's
+// guest-physical space ends at 2.5 GB. Map and node allocation reject a
+// frame at or above the bound, and a dense table's Map rejects a key at or
+// above its own, so a larger address fails loudly instead of aliasing
+// another entry.
 package pagetable
 
 import (
@@ -94,6 +103,14 @@ type Table struct {
 	root   mem.PAddr
 	ptes   pteStore
 
+	// leaves holds a dense table's level-1 entries: one array of packed
+	// words per 2 MB key region, by region number, nil until the region's
+	// first 4 KB leaf. It is nil for a hashed table, whose level-1 entries
+	// sit in ptes. Map refuses a key at or above keyLimit: 2 MB times
+	// len(leaves) for a dense table, no bound for a hashed one.
+	leaves   []*[entriesPerNode]uint32
+	keyLimit uint64
+
 	nodeCount int
 	mapped4K  uint64
 	mapped2M  uint64
@@ -105,7 +122,7 @@ func New(alloc FrameAlloc, levels int) (*Table, error) {
 	if levels != 4 && levels != 5 {
 		return nil, fmt.Errorf("pagetable: unsupported depth %d (want 4 or 5)", levels)
 	}
-	t := &Table{levels: levels, alloc: alloc, ptes: newPTEStore()}
+	t := &Table{levels: levels, alloc: alloc, ptes: newPTEStore(), keyLimit: ^uint64(0)}
 	root, err := t.newNode()
 	if err != nil {
 		return nil, err
@@ -114,8 +131,27 @@ func New(alloc FrameAlloc, levels int) (*Table, error) {
 	return t, nil
 }
 
+// NewDense builds an empty table like New whose keys (the addresses it
+// translates) all lie below keyLimit, a positive multiple of 2 MB no
+// larger than 2^38. Its 4 KB leaves are kept densely, indexed by key, so
+// it suits a table whose keys are physical pages handed out in order.
+// Map refuses a key at or above keyLimit.
+func NewDense(alloc FrameAlloc, levels int, keyLimit mem.PAddr) (*Table, error) {
+	if keyLimit == 0 || keyLimit%mem.PageSize2M != 0 || keyLimit > physLimit {
+		return nil, fmt.Errorf("pagetable: key bound %#x is not a positive multiple of 2 MB up to 2^%d", keyLimit, physBits)
+	}
+	t, err := New(alloc, levels)
+	if err != nil {
+		return nil, err
+	}
+	t.leaves = make([]*[entriesPerNode]uint32, keyLimit>>mem.PageShift2M)
+	t.keyLimit = uint64(keyLimit)
+	return t, nil
+}
+
 // newNode takes a frame for a fresh (empty) node. An empty node stores
-// nothing: its entries appear in the PTE store as they are written.
+// nothing: its entries appear in the PTE store, or a dense table's leaf
+// arrays, as they are written.
 func (t *Table) newNode() (mem.PAddr, error) {
 	frame, err := t.alloc.Alloc4K()
 	if err != nil {
@@ -160,16 +196,55 @@ func leafLevel(size mem.PageSize) int {
 	return 1
 }
 
+// key returns v without the bits above the table's top index: the address
+// a walk of v resolves, which is what a dense table indexes and bounds.
+func (t *Table) key(v mem.VAddr) uint64 {
+	return uint64(v) & (1<<(mem.PageShift4K+9*uint(t.levels)) - 1)
+}
+
+// leaf reads a dense table's level-1 entry for v, 0 while v's region has
+// no array. A walk reaches level 1 only below a level-2 node entry, which
+// Map and MapIfAbsent create only for a key below keyLimit, so the region
+// is in range.
+// Every other entry is read from the PTE store. The walks pick between
+// the two in place, so both reads stay inlined.
+func (t *Table) leaf(v mem.VAddr) uint64 {
+	r := t.leaves[t.key(v)>>mem.PageShift2M]
+	if r == nil {
+		return 0
+	}
+	return unpackWord(uint64(r[index(v, 1)]))
+}
+
+// set writes word, which must be absent, as v's entry at level, whose
+// address is pte. A dense table's first leaf in a region allocates the
+// region's array.
+func (t *Table) set(pte mem.PAddr, v mem.VAddr, level int, word uint64) {
+	if level != 1 || t.leaves == nil {
+		t.ptes.insert(pte, word)
+		return
+	}
+	r := &t.leaves[t.key(v)>>mem.PageShift2M]
+	if *r == nil {
+		*r = new([entriesPerNode]uint32)
+	}
+	(*r)[index(v, 1)] = uint32(packWord(word))
+}
+
 // Map installs a translation from the page containing v to frame. Frame
 // must be aligned to the page size and lie below 2^38. Remapping an
 // existing page to a different frame, or crossing a previously installed
-// mapping of another size, is an error — the simulator never remaps.
+// mapping of another size, is an error — the simulator never remaps. A
+// dense table refuses a key at or above its bound.
 func (t *Table) Map(v mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
 	if uint64(frame)&(size.Bytes()-1) != 0 {
 		return fmt.Errorf("pagetable: frame %#x not aligned to %s page", frame, size)
 	}
 	if frame >= physLimit {
 		return fmt.Errorf("pagetable: frame %#x not below 2^%d", frame, physBits)
+	}
+	if t.key(v) >= t.keyLimit {
+		return fmt.Errorf("pagetable: key %#x not below the table's bound %#x", v, t.keyLimit)
 	}
 	stop := leafLevel(size)
 	node := t.root
@@ -191,13 +266,19 @@ func (t *Table) Map(v mem.VAddr, frame mem.PAddr, size mem.PageSize) error {
 	}
 	pte := pteAddr(node, v, stop)
 	want := leafWord(frame, size)
-	if w := t.ptes.get(pte); w != 0 {
+	var w uint64
+	if stop > 1 || t.leaves == nil {
+		w = t.ptes.get(pte)
+	} else {
+		w = t.leaf(v)
+	}
+	if w != 0 {
 		if w == want {
 			return nil // idempotent remap of the identical translation
 		}
 		return fmt.Errorf("pagetable: %#x already mapped", v)
 	}
-	t.ptes.insert(pte, want)
+	t.set(pte, v, stop, want)
 	if size == mem.Page2M {
 		t.mapped2M++
 	} else {
@@ -219,7 +300,12 @@ func (t *Table) MapIfAbsent(v mem.VAddr, size mem.PageSize, alloc func() (mem.PA
 	var pte mem.PAddr
 	for ; level >= 1; level-- {
 		pte = pteAddr(node, v, level)
-		w := t.ptes.get(pte)
+		var w uint64
+		if level > 1 || t.leaves == nil {
+			w = t.ptes.get(pte)
+		} else {
+			w = t.leaf(v)
+		}
 		if w == 0 {
 			break
 		}
@@ -233,9 +319,10 @@ func (t *Table) MapIfAbsent(v mem.VAddr, size mem.PageSize, alloc func() (mem.PA
 		return 0, 0, false, err
 	}
 	stop := leafLevel(size)
-	if level < stop || uint64(frame)&(size.Bytes()-1) != 0 || frame >= physLimit {
+	if level < stop || uint64(frame)&(size.Bytes()-1) != 0 || frame >= physLimit || t.key(v) >= t.keyLimit {
 		// The page's leaf entry holds a node (a 2M page over a populated
-		// level-1 node), or the frame is one Map refuses: Map reports it.
+		// level-1 node), or the frame or key is one Map refuses: Map
+		// reports it.
 		return 0, 0, false, t.Map(v, frame, size)
 	}
 	for ; level > stop; level-- {
@@ -246,7 +333,7 @@ func (t *Table) MapIfAbsent(v mem.VAddr, size mem.PageSize, alloc func() (mem.PA
 		t.ptes.insert(pte, uint64(child)|ptePresent)
 		pte = pteAddr(child, v, level-1)
 	}
-	t.ptes.insert(pte, leafWord(frame, size))
+	t.set(pte, v, stop, leafWord(frame, size))
 	if size == mem.Page2M {
 		t.mapped2M++
 	} else {
@@ -260,7 +347,12 @@ func (t *Table) MapIfAbsent(v mem.VAddr, size mem.PageSize, alloc func() (mem.PA
 func (t *Table) Lookup(v mem.VAddr) (mem.PAddr, mem.PageSize, bool) {
 	node := t.root
 	for level := t.levels; level >= 1; level-- {
-		w := t.ptes.get(pteAddr(node, v, level))
+		var w uint64
+		if level > 1 || t.leaves == nil {
+			w = t.ptes.get(pteAddr(node, v, level))
+		} else {
+			w = t.leaf(v)
+		}
 		if w == 0 {
 			return 0, 0, false
 		}
@@ -292,7 +384,12 @@ func (t *Table) Walk(v mem.VAddr, steps []Step) ([]Step, mem.PAddr, mem.PageSize
 	for level := t.levels; level >= 1; level-- {
 		pte := pteAddr(node, v, level)
 		steps = append(steps, Step{Addr: pte, Level: level})
-		w := t.ptes.get(pte)
+		var w uint64
+		if level > 1 || t.leaves == nil {
+			w = t.ptes.get(pte)
+		} else {
+			w = t.leaf(v)
+		}
 		if w == 0 {
 			return steps, 0, 0, false
 		}
@@ -315,6 +412,8 @@ func (t *Table) Walk(v mem.VAddr, steps []Step) ([]Step, mem.PAddr, mem.PageSize
 // per node (plus a frame-to-node index) costs two map lookups and a
 // pointer chase per walk step. Here each present PTE costs one 8-byte
 // slot at no more than 7/8 load, sparse or dense, and each step one probe.
+// Only a table whose leaf nodes are known to fill, one keyed by physical
+// pages below a bound, keeps its leaves dense instead (NewDense).
 //
 // The store grows at 7/8 full, the bound Go's Swiss-table maps use.
 // Almost every lookup finds a mapped entry, and at the bound such a
@@ -349,6 +448,19 @@ const (
 	slotFrameMask  = (uint64(1)<<(physBits-mem.PageShift4K) - 1) << 3
 )
 
+// packWord packs a PTE word (present, frame below 2^38) into a slot's low
+// 29 bits: frame>>12 above the three flags. A dense leaf word is the same
+// 29 bits.
+func packWord(word uint64) uint64 {
+	return (word&pteFrameMask)>>slotFrameShift | word&pteFlagMask
+}
+
+// unpackWord returns the PTE word packed into the low bits of sl, ignoring
+// a slot's key bits above them.
+func unpackWord(sl uint64) uint64 {
+	return (sl&slotFrameMask)<<slotFrameShift | sl&pteFlagMask
+}
+
 func newPTEStore() pteStore {
 	return pteStore{slots: make([]uint64, 1<<pteStoreInitialLog2), shift: 64 - pteStoreInitialLog2}
 }
@@ -371,7 +483,7 @@ func (s *pteStore) get(addr mem.PAddr) uint64 {
 			return 0
 		}
 		if sl>>slotKeyShift == key {
-			return (sl&slotFrameMask)<<slotFrameShift | sl&pteFlagMask
+			return unpackWord(sl)
 		}
 	}
 }
@@ -380,7 +492,7 @@ func (s *pteStore) get(addr mem.PAddr) uint64 {
 // which must be absent: entries are written once, since the simulator
 // never remaps.
 func (s *pteStore) insert(addr mem.PAddr, word uint64) {
-	s.put(uint64(addr)>>3<<slotKeyShift | (word&pteFrameMask)>>slotFrameShift | word&pteFlagMask)
+	s.put(uint64(addr)>>3<<slotKeyShift | packWord(word))
 }
 
 // put stores a packed slot whose key is absent, doubling the store first

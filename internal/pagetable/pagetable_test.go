@@ -26,6 +26,22 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(alloc, 6); err == nil {
 		t.Error("expected error for depth 6")
 	}
+	// A dense table's key bound is a positive multiple of 2 MB up to 2^38.
+	for _, c := range []struct {
+		limit mem.PAddr
+		ok    bool
+	}{
+		{0, false},
+		{mem.PageSize4K, false},
+		{3 << 20, false},
+		{1<<38 + mem.PageSize2M, false},
+		{mem.PageSize2M, true},
+		{1 << 38, true},
+	} {
+		if _, err := NewDense(alloc, 4, c.limit); (err == nil) != c.ok {
+			t.Errorf("NewDense(bound %#x) = %v, want accepted %v", c.limit, err, c.ok)
+		}
+	}
 }
 
 func TestMapLookup4K(t *testing.T) {
@@ -347,5 +363,58 @@ func TestPTEStoreGrowsAtSevenEighths(t *testing.T) {
 				t.Fatalf("after doubling to %d slots: key %#x reads %#x, want %#x", len(s.slots), addr(i), got, word(i))
 			}
 		}
+	}
+}
+
+// TestDenseTableAllocBytes pins what a dense table costs per mapped page,
+// built the way a VM builds its EPT: 100,000 guest-physical data pages in
+// order from 0 and 1,000 page-table pages from 2 GB, onto scrambled host
+// frames, under the 2.5 GB bound. Its leaves fill 198 arrays of 512
+// 4-byte words, beside a 10 KB region index and a 256-slot PTE store that
+// holds the 202 upper-level entries without growing: 4.14 bytes per
+// page, and building it allocates no more. A hashed table keeps the same
+// leaves in 8-byte slots at up to 7/8 load, 9 to 16 bytes per page, and
+// allocates about twice that while its store doubles.
+func TestDenseTableAllocBytes(t *testing.T) {
+	const (
+		dataPages  = 100_000
+		ptPages    = 1_000
+		gPTBase    = 2 << 30
+		keyLimit   = gPTBase + 512<<20
+		maxPerPage = 4.25
+	)
+	hostA := mem.NewFrameAllocator(0, 4<<30, true)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl, err := NewDense(hostA, 4, keyLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapPages := func(base mem.VAddr, n int) {
+		for i := 0; i < n; i++ {
+			frame, err := hostA.Alloc4K()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tbl.Map(base+mem.VAddr(i)<<mem.PageShift4K, frame, mem.Page4K); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mapPages(0, dataPages)
+	mapPages(gPTBase, ptPages)
+	runtime.ReadMemStats(&after)
+	if p4, _ := tbl.MappedPages(); p4 != dataPages+ptPages {
+		t.Fatalf("mapped %d pages, want %d", p4, dataPages+ptPages)
+	}
+	regions := (dataPages+entriesPerNode-1)/entriesPerNode + (ptPages+entriesPerNode-1)/entriesPerNode
+	want := regions*entriesPerNode*4 + keyLimit>>mem.PageShift2M*8 + 256*8
+	if got := tableBytes(tbl); got != want {
+		t.Errorf("dense table holds %d bytes, want %d: %d leaf arrays, the region index and 256 store slots", got, want, regions)
+	}
+	perPage := float64(after.TotalAlloc-before.TotalAlloc) / (dataPages + ptPages)
+	t.Logf("%d pages: table %d bytes, %.3f bytes allocated per page", dataPages+ptPages, tableBytes(tbl), perPage)
+	if perPage > maxPerPage {
+		t.Errorf("building the dense table allocated %.3f bytes per page, want at most %.2f", perPage, maxPerPage)
 	}
 }

@@ -65,10 +65,6 @@ func newVM(asid mem.ASID, bench workload.Name, virtualized bool, levels int,
 		return vm, nil
 	}
 
-	host, err := pagetable.New(hostA, levels)
-	if err != nil {
-		return nil, err
-	}
 	// Guest-physical layout: page-table nodes in a dedicated upper region,
 	// data below. Both regions are per-VM; gPA spaces of different VMs are
 	// independent because each has its own EPT.
@@ -78,6 +74,13 @@ func newVM(asid mem.ASID, bench workload.Name, virtualized bool, levels int,
 		gPTBase   = mem.PAddr(2 << 30)
 		gPTSize   = 512 << 20
 	)
+	// The EPT's keys are those guest-physical pages, handed out in order
+	// from two fixed bases, so its 4 KB leaves are kept densely below the
+	// layout's end.
+	host, err := pagetable.NewDense(hostA, levels, gPTBase+gPTSize)
+	if err != nil {
+		return nil, err
+	}
 	// Guest-physical data is allocated sequentially: guest OSes hand out
 	// reasonably contiguous gPA ranges, and that contiguity is what gives
 	// the host-side PSC and nested TLB their reach. (Host-physical frames

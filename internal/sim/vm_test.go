@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/csalt-sim/csalt/internal/mem"
+	"github.com/csalt-sim/csalt/internal/workload"
 )
 
 // TestEnsureMappedReturnsInstalledMapping: the mapping a demand fault
@@ -62,5 +63,54 @@ func TestEnsureMappedReturnsInstalledMapping(t *testing.T) {
 				t.Fatal("no page was freshly mapped")
 			}
 		})
+	}
+}
+
+// TestSourceParametersPinned pins the per-context generator parameters
+// sim.New gives core c's source for the VM in context slot vi: base
+// address 0x10_0000_0000 + c<<36 and seed Seed + vi·1_000_003 + c·7919.
+// perfbench's generators (perfbench/traced.go) rebuild the same sources
+// from a copy of these two formulas to count and time prewarmed pages, so
+// a change to newSource or vaBase that fails this test must change that
+// copy in the same commit.
+func TestSourceParametersPinned(t *testing.T) {
+	const records = 64
+	for _, c := range []struct {
+		seed  uint64
+		vi, c int
+	}{
+		{1, 0, 0},
+		{3, 1, 5},
+		{7, 0, 7},
+		{11, 3, 2},
+	} {
+		cfg := tinyConfig()
+		cfg.Seed = c.seed
+		bench := cfg.Mix.VM1
+		if c.vi%2 == 1 {
+			bench = cfg.Mix.VM2
+		}
+		vm := &vmState{asid: mem.ASID(c.vi + 1), bench: bench}
+		got, err := newSource(cfg, vm, c.c, c.vi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := workload.New(bench, workload.Params{
+			ASID:  mem.ASID(c.vi + 1),
+			Base:  mem.VAddr(0x10_0000_0000 + uint64(c.c)<<36),
+			Seed:  c.seed + uint64(c.vi)*1_000_003 + uint64(c.c)*7919,
+			Scale: cfg.Scale,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < records; i++ {
+			g, gok := got.Next()
+			w, wok := want.Next()
+			if g != w || gok != wok {
+				t.Fatalf("seed %d, slot %d, core %d: record %d is %+v,%v; the literal formulas give %+v,%v",
+					c.seed, c.vi, c.c, i, g, gok, w, wok)
+			}
+		}
 	}
 }
